@@ -247,7 +247,7 @@ fn render_json(
     let max_threads = threads.iter().map(|r| r.threads).max().unwrap_or(1);
     let threads_note = if host_cores < max_threads {
         format!(
-            "measured on a {host_cores}-core host: EssentialMt rows above {host_cores} \
+            "measured on a {host_cores}-core host: FullCycleMt rows above {host_cores} \
              worker(s) serialize on the level barriers and measure barrier overhead, \
              not engine scaling"
         )
@@ -256,7 +256,7 @@ fn render_json(
     };
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"gsim-bench-interp/8\",\n");
+    s.push_str("  \"schema\": \"gsim-bench-interp/9\",\n");
     s.push_str(&format!(
         "  \"scale\": {}, \"cycles\": {}, \"smoke\": {},\n",
         cfg.scale, cfg.cycles, smoke
@@ -425,17 +425,12 @@ fn render_json(
     s.push_str("  \"dispatch\": [\n");
     for (i, r) in dispatch.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"label\": \"{}\", \"engine\": \"{}\", \"threads\": {}, \"fusion\": {}, \
-             \"hz\": {:.1}, \"instrs_per_cycle\": {:.3}, \"fused_fraction\": {:.4}, \
-             \"static_fused_pairs\": {}, \"counters\": {}}}{}\n",
+            "    {{\"label\": \"{}\", \"engine\": \"{}\", \"hz\": {:.1}, \
+             \"instrs_per_cycle\": {:.3}, \"counters\": {}}}{}\n",
             r.label,
             r.engine,
-            r.threads,
-            r.fusion,
             r.hz,
             r.instrs_per_cycle,
-            r.fused_fraction,
-            r.static_fused_pairs,
             counters_json(&r.counters),
             comma(i, dispatch.len())
         ));
@@ -449,7 +444,7 @@ fn counters_json(c: &gsim::Counters) -> String {
     format!(
         "{{\"cycles\": {}, \"node_evals\": {}, \"supernode_evals\": {}, \"aexam_checks\": {}, \
          \"activation_ops\": {}, \"activations\": {}, \"value_changes\": {}, \
-         \"reset_checks\": {}, \"instrs_executed\": {}, \"fused_executed\": {}}}",
+         \"reset_checks\": {}, \"instrs_executed\": {}}}",
         c.cycles,
         c.node_evals,
         c.supernode_evals,
@@ -458,8 +453,7 @@ fn counters_json(c: &gsim::Counters) -> String {
         c.activations,
         c.value_changes,
         c.reset_checks,
-        c.instrs_executed,
-        c.fused_executed
+        c.instrs_executed
     )
 }
 

@@ -103,25 +103,24 @@ pub fn print_table1(rows: &[Table1Row]) {
 
 // ------------------------------------------- Table I (thread scaling)
 
-/// Thread counts of the essential-engine scaling experiment.
-pub const ESSENTIAL_MT_THREADS: [usize; 3] = [1, 2, 4];
+/// Thread counts of the multithreaded full-cycle scaling experiment.
+pub const FULL_CYCLE_MT_THREADS: [usize; 3] = [1, 2, 4];
 
 /// One row of the thread-scaling extension of Table I.
 #[derive(Debug)]
 pub struct ThreadScalingRow {
     /// Engine label.
     pub engine: String,
-    /// Worker threads (1 for the sequential essential engine).
+    /// Worker threads (1 for the sequential full-cycle engine).
     pub threads: usize,
     /// Simulation speed in cycles per second.
     pub hz: f64,
-    /// Speedup over the sequential essential engine.
+    /// Speedup over the sequential full-cycle engine.
     pub speedup: f64,
 }
 
 /// A stimulus personality with a low activity factor — the regime where
-/// essential-signal simulation shines and barrier overhead is most
-/// visible.
+/// essential-signal simulation shines.
 pub fn low_activity_profile() -> Profile {
     Profile {
         name: "low-activity",
@@ -167,29 +166,29 @@ fn measure_threads(graph: &Graph, engine: EngineChoice, profile: &Profile, cycle
     cycles as f64 / start.elapsed().as_secs_f64().max(1e-12)
 }
 
-/// Table I extension: thread scaling of the essential engines on a
-/// low-activity workload. Row 0 is the sequential [`Preset::Gsim`]
-/// configuration; the rest run `EssentialMt` at
-/// [`ESSENTIAL_MT_THREADS`]. Scaling past 1.0x requires at least as
-/// many host cores as worker threads.
+/// Table I extension: thread scaling of Verilator `--threads N`, the
+/// levelized multithreaded full-cycle engine, on a low-activity
+/// workload. Row 0 is the sequential full-cycle engine; the rest run
+/// `FullCycleMt` at [`FULL_CYCLE_MT_THREADS`]. Scaling past 1.0x
+/// requires at least as many host cores as worker threads.
 pub fn table1_threads(design: &SuiteDesign, cfg: &Config) -> Vec<ThreadScalingRow> {
     let profile = low_activity_profile();
-    let base = measure_threads(&design.graph, EngineChoice::Essential, &profile, cfg.cycles);
+    let base = measure_threads(&design.graph, EngineChoice::FullCycle, &profile, cfg.cycles);
     let mut rows = vec![ThreadScalingRow {
-        engine: "Essential".into(),
+        engine: "FullCycle".into(),
         threads: 1,
         hz: base,
         speedup: 1.0,
     }];
-    for t in ESSENTIAL_MT_THREADS {
+    for t in FULL_CYCLE_MT_THREADS {
         let hz = measure_threads(
             &design.graph,
-            EngineChoice::EssentialMt(t),
+            EngineChoice::FullCycleMt(t),
             &profile,
             cfg.cycles,
         );
         rows.push(ThreadScalingRow {
-            engine: format!("EssentialMt-{t}T"),
+            engine: format!("FullCycleMt-{t}T"),
             threads: t,
             hz,
             speedup: hz / base.max(1e-12),
@@ -200,7 +199,7 @@ pub fn table1_threads(design: &SuiteDesign, cfg: &Config) -> Vec<ThreadScalingRo
 
 /// Prints the thread-scaling extension (speeds are cycles per second).
 pub fn print_table1_threads(design: &str, rows: &[ThreadScalingRow]) {
-    println!("Table I (ext): essential-engine thread scaling on {design}, low-activity workload");
+    println!("Table I (ext): full-cycle thread scaling on {design}, low-activity workload");
     println!(
         "{:<18} {:>8} {:>18} {:>9}",
         "Engine", "Threads", "Speed (cycles/s)", "Speedup"
@@ -219,83 +218,62 @@ pub fn print_table1_threads(design: &str, rows: &[ThreadScalingRow]) {
 // ------------------------------------------- dispatch breakdown (image)
 
 /// One configuration of the dispatch-breakdown experiment: how the flat
-/// execution image's interpreter spends its time, with and without
-/// superinstruction fusion.
+/// execution image's interpreter spends its time.
 #[derive(Debug)]
 pub struct DispatchRow {
-    /// Configuration label (engine + ablation).
+    /// Configuration label.
     pub label: String,
     /// Engine family name.
     pub engine: &'static str,
-    /// Worker threads.
-    pub threads: usize,
-    /// Superinstruction fusion enabled.
-    pub fusion: bool,
     /// Simulation speed in cycles per second.
     pub hz: f64,
     /// Executed instructions per simulated cycle.
     pub instrs_per_cycle: f64,
-    /// Fraction of executed instructions that were fused
-    /// superinstructions.
-    pub fused_fraction: f64,
-    /// Adjacent pairs the fusion pass collapsed at compile time.
-    pub static_fused_pairs: u32,
     /// Full counter breakdown for the run.
     pub counters: gsim::Counters,
 }
 
 /// Dispatch breakdown on the low-activity workload: the GSIM preset's
-/// sequential and parallel essential engines plus the full-cycle
-/// baseline, each with fusion on and off (the `--no-fuse` ablation).
-/// Reports cycles/sec, instrs/cycle and the fused fraction — the
-/// before/after evidence for the flat-image optimization.
+/// essential engine and the full-cycle baseline on the same flat
+/// image. Reports cycles/sec and instrs/cycle.
 pub fn dispatch_breakdown(design: &SuiteDesign, cfg: &Config) -> Vec<DispatchRow> {
     let wl = WorkloadKind::Stimulus(low_activity_profile());
-    let configs: [(&'static str, EngineChoice, usize); 3] = [
-        ("GSIM", EngineChoice::Essential, 1),
-        ("GSIM-2T", EngineChoice::EssentialMt(2), 2),
-        ("FullCycle", EngineChoice::FullCycle, 1),
+    let configs: [(&'static str, EngineChoice); 2] = [
+        ("GSIM", EngineChoice::Essential),
+        ("FullCycle", EngineChoice::FullCycle),
     ];
-    let mut rows = Vec::new();
-    for (engine, choice, threads) in configs {
-        for fusion in [true, false] {
+    configs
+        .into_iter()
+        .map(|(engine, choice)| {
             let opts = OptOptions {
                 engine: choice,
-                superinstruction_fusion: fusion,
                 ..OptOptions::all()
             };
             let stats = measure_options(&design.graph, opts, &wl, cfg.cycles);
-            rows.push(DispatchRow {
-                label: format!("{engine}{}", if fusion { "" } else { " no-fuse" }),
+            DispatchRow {
+                label: engine.to_string(),
                 engine,
-                threads,
-                fusion,
                 hz: stats.hz,
                 instrs_per_cycle: stats.counters.instrs_per_cycle(),
-                fused_fraction: stats.counters.fused_fraction(),
-                static_fused_pairs: stats.report.fusion.fused_pairs(),
                 counters: stats.counters,
-            });
-        }
-    }
-    rows
+            }
+        })
+        .collect()
 }
 
 /// Prints the dispatch breakdown.
 pub fn print_dispatch(design: &str, rows: &[DispatchRow]) {
     println!("Dispatch breakdown on {design} (low-activity workload): flat-image interpreter");
     println!(
-        "{:<18} {:>16} {:>12} {:>8} {:>14}",
-        "config", "speed (cyc/s)", "instrs/cyc", "fused%", "pairs (static)"
+        "{:<18} {:>16} {:>12}",
+        "config", "speed (cyc/s)", "instrs/cyc"
     );
     for r in rows {
         println!(
-            "{:<18} {:>16} {:>12.1} {:>7.1}% {:>14}",
+            "{:<18} {:>16} {:>12.1}",
             r.label,
             format!("{:.0}", r.hz),
-            r.instrs_per_cycle,
-            r.fused_fraction * 100.0,
-            r.static_fused_pairs
+            r.instrs_per_cycle
         );
     }
 }
@@ -304,7 +282,7 @@ pub fn print_dispatch(design: &str, rows: &[DispatchRow]) {
 
 /// One configuration of the threaded-dispatch experiment: the
 /// in-process threaded-code backend against the interpreter it lowers
-/// from, plus its `--no-threaded` ablation.
+/// from.
 #[derive(Debug)]
 pub struct ThreadedRow {
     /// Configuration label.
@@ -314,9 +292,9 @@ pub struct ThreadedRow {
     /// Speedup over the interpreter row (row 0 is 1.0 by definition).
     pub speedup: f64,
     /// Time the compile-time lowering pass took, milliseconds (zero
-    /// for the interpreter and the ablation, which never lower).
+    /// for the interpreter, which never lowers).
     pub lowering_ms: f64,
-    /// Full counter breakdown — identical across all three rows by the
+    /// Full counter breakdown — identical across both rows by the
     /// bit-invisibility contract.
     pub counters: gsim::Counters,
 }
@@ -359,22 +337,19 @@ fn measure_threaded_config(
 }
 
 /// The threaded-code backend on the dispatch workload: the GSIM
-/// interpreter, the GSIM-JIT threaded backend, and the `--no-threaded`
-/// ablation (threaded engine falling back to interpreter dispatch).
-/// The speedup column is the backend's whole claim; the lowering time
-/// is its whole cold-start cost (no rustc anywhere).
+/// interpreter and the GSIM-JIT threaded backend. The speedup column
+/// is the backend's whole claim; the lowering time is its whole
+/// cold-start cost (no rustc anywhere).
 pub fn threaded(design: &SuiteDesign, cfg: &Config) -> Vec<ThreadedRow> {
-    let configs: [(&str, EngineChoice, bool); 3] = [
-        ("GSIM interp", EngineChoice::Essential, true),
-        ("GSIM-JIT", EngineChoice::Threaded, true),
-        ("GSIM-JIT no-dispatch", EngineChoice::Threaded, false),
+    let configs: [(&str, EngineChoice); 2] = [
+        ("GSIM interp", EngineChoice::Essential),
+        ("GSIM-JIT", EngineChoice::Threaded),
     ];
     let mut rows: Vec<ThreadedRow> = Vec::new();
     let mut interp_hz = 0.0;
-    for (label, engine, dispatch) in configs {
+    for (label, engine) in configs {
         let opts = OptOptions {
             engine,
-            threaded_dispatch: dispatch,
             ..OptOptions::all()
         };
         let (hz, counters, lowering_ms) = measure_threaded_config(&design.graph, opts, cfg.cycles);
@@ -1474,7 +1449,7 @@ pub fn print_wave(design: &str, rows: &[WaveRow]) {
 
 /// Logical cores of the measurement host — recorded into
 /// `BENCH_interp.json` so thread-scaling rows can be judged (an
-/// `EssentialMt` "slowdown" on a 1-core host measures barrier
+/// `FullCycleMt` "slowdown" on a 1-core host measures barrier
 /// overhead, not the engine).
 pub fn host_cores() -> usize {
     std::thread::available_parallelism()
@@ -1975,42 +1950,33 @@ mod tests {
     }
 
     #[test]
-    fn threaded_rows_cover_backend_and_ablation() {
+    fn threaded_rows_cover_interp_and_jit() {
         let cfg = tiny_cfg();
         let suite = build_suite(&cfg);
         let xs = suite.iter().find(|d| d.name == "XiangShan").unwrap();
         let rows = threaded(xs, &cfg);
-        assert_eq!(rows.len(), 3, "interp, jit, jit ablated");
+        assert_eq!(rows.len(), 2, "interp, jit");
         assert!((rows[0].speedup - 1.0).abs() < 1e-9, "interp is the unit");
         assert_eq!(rows[0].lowering_ms, 0.0, "interp never lowers");
         assert!(rows[1].lowering_ms > 0.0, "jit records its lowering pass");
-        assert_eq!(rows[2].lowering_ms, 0.0, "the ablation never lowers");
         // Bit-invisibility extends to the workload counters.
-        for r in &rows[1..] {
-            assert_eq!(r.counters.value_changes, rows[0].counters.value_changes);
-            assert_eq!(r.counters.node_evals, rows[0].counters.node_evals);
-        }
+        assert_eq!(rows[1].counters, rows[0].counters);
     }
 
     #[test]
-    fn dispatch_breakdown_covers_fusion_ablation() {
+    fn dispatch_breakdown_covers_both_engines() {
         let cfg = tiny_cfg();
         let suite = build_suite(&cfg);
         let xs = suite.iter().find(|d| d.name == "XiangShan").unwrap();
         let rows = dispatch_breakdown(xs, &cfg);
-        assert_eq!(rows.len(), 6, "3 engines × fusion on/off");
-        for pair in rows.chunks(2) {
-            let (on, off) = (&pair[0], &pair[1]);
-            assert!(on.fusion && !off.fusion);
-            // Fusion must shrink the executed stream and leave the
-            // semantic counters untouched.
-            assert!(on.instrs_per_cycle <= off.instrs_per_cycle);
-            assert!(on.fused_fraction > 0.0, "{}", on.label);
-            assert_eq!(off.fused_fraction, 0.0);
-            assert_eq!(on.counters.node_evals, off.counters.node_evals);
-            assert_eq!(on.counters.activations, off.counters.activations);
-            assert!(on.static_fused_pairs > 0 && off.static_fused_pairs == 0);
-        }
+        let labels: Vec<&str> = rows.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(labels, ["GSIM", "FullCycle"]);
+        let (gsim, full) = (&rows[0], &rows[1]);
+        // The essential engine skips inactive supernodes; the
+        // full-cycle baseline evaluates every node every cycle.
+        assert!(gsim.instrs_per_cycle < full.instrs_per_cycle);
+        assert!(gsim.counters.node_evals < full.counters.node_evals);
+        assert_eq!(gsim.counters.cycles, full.counters.cycles);
     }
 
     #[test]

@@ -142,7 +142,7 @@ fn drive(
             // Warm up before timing: the first configuration measured
             // in a sweep otherwise pays first-touch page faults and a
             // cold branch predictor that none of its siblings pay,
-            // which once inverted a fusion-on/off comparison on a
+            // which once inverted an on/off ablation comparison on a
             // 1-core host. Counters are reset after the warmup so they
             // describe exactly the timed cycles.
             sim.run_driven(WARMUP_CYCLES.min(cycles), |_, frame| {
@@ -154,7 +154,7 @@ fn drive(
             sim.reset_counters();
             let start = Instant::now();
             // Per-cycle stimulus through the driven-run API, which
-            // keeps the multithreaded engines' worker teams alive
+            // keeps the multithreaded engine's worker team alive
             // across cycles instead of respawning them per step.
             sim.run_driven(cycles, |_, frame| {
                 let ops = stim.next_cycle();

@@ -303,6 +303,14 @@ mod tests {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_interp.json");
         let text = std::fs::read_to_string(path).unwrap();
         let j = parse(&text).unwrap();
-        assert!(j.get("dispatch").unwrap().as_arr().unwrap().len() >= 4);
+        let labels: Vec<&str> = j
+            .get("dispatch")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|r| r.get("label").unwrap().as_str().unwrap())
+            .collect();
+        assert_eq!(labels, ["GSIM", "FullCycle"]);
     }
 }

@@ -7,8 +7,8 @@
 //! byte count from this one module, so the number in the table can
 //! never diverge from the struct the compiled simulator really uses.
 //!
-//! The layout is locality-ordered, mirroring the interpreter's
-//! locality-aware slot layout: top-level inputs first, then register
+//! The layout is locality-ordered, mirroring the interpreter's state
+//! slot layout: top-level inputs first, then register
 //! current/shadow *pairs* (the commit phase walks adjacent fields),
 //! then the remaining combinational values in schedule (sweep) order.
 

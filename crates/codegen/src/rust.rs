@@ -7,8 +7,8 @@
 //! architecture, with all interpretation cost moved to compile time:
 //!
 //! * one function per supernode, evaluating its member nodes as native
-//!   Rust expressions (the interpreter's fused superinstructions are
-//!   subsumed — whole expression trees compile to straight-line code);
+//!   Rust expressions (whole expression trees compile to straight-line
+//!   code);
 //! * a word-scanned active-bit dispatch loop (paper Listing 4): a
 //!   supernode only runs when an operand changed;
 //! * a locality-ordered state struct shared with the C++ emitter's

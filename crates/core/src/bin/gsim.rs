@@ -5,11 +5,8 @@
 //! ```text
 //! gsim design.fir [--preset gsim|verilator|essent|arcilator]
 //!                 [--backend interp|jit|aot]   # bytecode, threaded-code, or emit+rustc+run
-//!                 [--threads N]                # parallel engine (gsim/verilator)
+//!                 [--threads N]                # Verilator --threads N (verilator preset)
 //!                 [--max-supernode-size N]     # the paper's CLI knob
-//!                 [--no-fuse]                  # ablate superinstruction fusion
-//!                 [--no-layout]                # ablate the locality state layout
-//!                 [--no-threaded]              # ablate threaded-code dispatch (jit)
 //!                 [--cycles N]                 # simulate (zero inputs)
 //!                 [--vcd out.vcd]              # change-driven waveform capture
 //!                 [--emit-cpp out.cc]
@@ -49,9 +46,6 @@ fn main() {
     let mut preset = Preset::Gsim;
     let mut threads: Option<usize> = None;
     let mut max_size: Option<usize> = None;
-    let mut no_fuse = false;
-    let mut no_layout = false;
-    let mut no_threaded = false;
     let mut cycles: u64 = 0;
     let mut vcd: Option<String> = None;
     let mut emit_cpp: Option<String> = None;
@@ -88,9 +82,6 @@ fn main() {
             "--max-supernode-size" => {
                 max_size = Some(parse(it.next(), "--max-supernode-size"));
             }
-            "--no-fuse" => no_fuse = true,
-            "--no-layout" => no_layout = true,
-            "--no-threaded" => no_threaded = true,
             "--cycles" => cycles = parse(it.next(), "--cycles"),
             "--vcd" => vcd = it.next().cloned(),
             "--emit-cpp" => emit_cpp = it.next().cloned(),
@@ -110,31 +101,19 @@ fn main() {
     if vcd.is_some() && cycles == 0 {
         die("--vcd captures value changes while simulating; give it --cycles N");
     }
-    // `--threads` upgrades a preset to its multithreaded engine.
+    // `--threads` selects Verilator's levelized multithreaded engine,
+    // the paper's multicore baseline; no other preset has one.
     if let Some(n) = threads {
         preset = match preset {
-            Preset::Gsim | Preset::GsimMt(_) => Preset::GsimMt(n),
             Preset::Verilator | Preset::VerilatorMt(_) => Preset::VerilatorMt(n),
             other => die(&format!(
-                "--threads applies to the gsim and verilator presets, not {}",
+                "--threads applies only to the verilator preset (Verilator --threads N), \
+                 not {}; use --preset verilator --threads {n}",
                 other.name()
             )),
         };
     }
-    // Ablation switches apply on top of whatever the preset enables.
     let mut opts = preset.options();
-    if no_fuse {
-        opts.superinstruction_fusion = false;
-    }
-    if no_layout {
-        opts.locality_layout = false;
-    }
-    if no_threaded {
-        if backend != "jit" {
-            die("--no-threaded ablates the jit backend's threaded-code dispatch (use --backend jit)");
-        }
-        opts.threaded_dispatch = false;
-    }
     if backend == "jit" {
         if threads.is_some() {
             die("--threads does not apply to the jit backend");
@@ -155,11 +134,6 @@ fn main() {
         }
         if emit_cpp.is_some() {
             die("--emit-cpp does not apply to the aot backend (use --emit-rust)");
-        }
-        if no_fuse || no_layout || no_threaded {
-            // Interpreter-image ablations; the compiled binary has no
-            // instruction stream to fuse, lower, or relayout.
-            die("--no-fuse/--no-layout/--no-threaded ablate the interpreter's execution image and do not apply to the aot backend");
         }
         run_aot(
             &graph,
@@ -200,14 +174,6 @@ fn main() {
         report.instrs,
         report.image_units,
         report.state_bytes
-    );
-    eprintln!(
-        "fusion   : {} pairs ({} masking-copy, {} reg-shadow, {} cmp-mux, {} cat-const)",
-        report.fusion.fused_pairs(),
-        report.fusion.masking_copies,
-        report.fusion.reg_shadow_copies,
-        report.fusion.cmp_mux,
-        report.fusion.cat_const
     );
 
     if cycles > 0 {
@@ -699,7 +665,7 @@ fn usage() {
     println!(
         "gsim <design.fir> [--preset gsim|verilator|essent|arcilator] \
          [--backend interp|jit|aot] [--threads N] [--max-supernode-size N] \
-         [--no-fuse] [--no-layout] [--no-threaded] [--cycles N] [--vcd out.vcd] \
+         [--cycles N] [--vcd out.vcd] \
          [--emit-cpp out.cc] [--emit-rust out.rs]\n\
          gsim serve --socket <ep> --cache-dir <dir> [--cache-capacity N] \
          [--max-sessions N] [--idle-timeout SECS] [--faults SPEC]\n\

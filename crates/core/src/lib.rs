@@ -63,9 +63,9 @@ pub use gsim_passes::{PassOptions, PassStats};
 pub use gsim_server::{ClientSession, Endpoint, Server, ServerConfig, ServiceStats};
 pub use gsim_sim::{
     BranchResult, Counters, EngineKind, ExploreOptions, ExploreReport, Explorer, FaultPlan,
-    FusionStats, GsimError, InputFrame, InputHandle, MemoryInfo, RecoveryStats, Scenario,
-    SendSessionFactory, Session, SessionFactory, SessionFrame, SignalInfo, SimOptions, Simulator,
-    SnapshotId, SuperviseOptions, SupervisedSession, Value,
+    GsimError, InputFrame, InputHandle, MemoryInfo, RecoveryStats, Scenario, SendSessionFactory,
+    Session, SessionFactory, SessionFrame, SignalInfo, SimOptions, Simulator, SnapshotId,
+    SuperviseOptions, SupervisedSession, Value,
 };
 pub use gsim_wave::{
     diff as wave_diff, first_difference, parse_vcd, MemSink, VcdWriter, Wave, WaveCell, WaveDiff,
@@ -92,10 +92,6 @@ pub enum Preset {
     Arcilator,
     /// GSIM: everything in the paper's §III.
     Gsim,
-    /// GSIM `--threads N`: the full GSIM configuration with the
-    /// essential-signal sweep parallelized over the supernode
-    /// dependency DAG's levels.
-    GsimMt(usize),
     /// GSIM-JIT: the full GSIM configuration executed through the
     /// in-process threaded-code backend — compile-free AoT-class
     /// dispatch (CLI: `--backend jit`).
@@ -111,7 +107,6 @@ impl Preset {
             Preset::Essent => "ESSENT".into(),
             Preset::Arcilator => "Arcilator".into(),
             Preset::Gsim => "GSIM".into(),
-            Preset::GsimMt(n) => format!("GSIM-{n}T"),
             Preset::GsimJit => "GSIM-JIT".into(),
         }
     }
@@ -142,10 +137,6 @@ impl Preset {
                 ..OptOptions::none()
             },
             Preset::Gsim => OptOptions::all(),
-            Preset::GsimMt(n) => OptOptions {
-                engine: EngineChoice::EssentialMt(n),
-                ..OptOptions::all()
-            },
             Preset::GsimJit => OptOptions {
                 engine: EngineChoice::Threaded,
                 ..OptOptions::all()
@@ -163,8 +154,6 @@ pub enum EngineChoice {
     FullCycleMt(usize),
     /// Essential-signal (active bits).
     Essential,
-    /// Essential-signal swept level-parallel across N threads.
-    EssentialMt(usize),
     /// Essential-signal dispatched through the in-process threaded-code
     /// backend: the execution image is lowered once, at compile time,
     /// into pre-resolved handler records, so simulation starts in
@@ -227,19 +216,6 @@ pub struct OptOptions {
     pub activation_cost_model: bool,
     /// ⑨ node splitting at the bit level.
     pub bit_split: bool,
-    /// ⑩ locality-aware state layout: segregate input / register /
-    /// combinational slot spaces, numbering combinational slots in
-    /// sweep order (substrate-level; bit-identical results).
-    pub locality_layout: bool,
-    /// ⑪ superinstruction fusion: collapse frequent adjacent
-    /// instruction pairs in the execution image (substrate-level;
-    /// bit-identical results — the `--no-fuse` ablation).
-    pub superinstruction_fusion: bool,
-    /// ⑫ threaded-code dispatch: lower the execution image into
-    /// pre-resolved handler records at compile time. Only effective
-    /// under [`EngineChoice::Threaded`]; off is the `--no-threaded`
-    /// ablation (substrate-level; bit-identical results).
-    pub threaded_dispatch: bool,
     /// Maximum supernode size (the paper's command-line knob; Fig. 9).
     pub max_supernode_size: usize,
 }
@@ -259,9 +235,6 @@ impl OptOptions {
             check_multiple_bits: false,
             activation_cost_model: false,
             bit_split: false,
-            locality_layout: false,
-            superinstruction_fusion: false,
-            threaded_dispatch: false,
             max_supernode_size: PartitionOptions::DEFAULT_MAX_SIZE,
         }
     }
@@ -279,9 +252,6 @@ impl OptOptions {
             check_multiple_bits: true,
             activation_cost_model: true,
             bit_split: true,
-            locality_layout: true,
-            superinstruction_fusion: true,
-            threaded_dispatch: true,
             max_supernode_size: PartitionOptions::DEFAULT_MAX_SIZE,
         }
     }
@@ -311,13 +281,6 @@ impl OptOptions {
         out.push(("activation overhead optimization", cur));
         cur.bit_split = true;
         out.push(("node splitting at bit level", cur));
-        // Substrate-level steps beyond the paper's nine: the flat
-        // execution image's ablatable switches, kept at the end so the
-        // paper staircase stays comparable.
-        cur.locality_layout = true;
-        out.push(("locality-aware state layout", cur));
-        cur.superinstruction_fusion = true;
-        out.push(("superinstruction fusion", cur));
         out
     }
 
@@ -349,7 +312,6 @@ impl OptOptions {
             EngineChoice::FullCycle => EngineKind::FullCycle,
             EngineChoice::FullCycleMt(n) => EngineKind::FullCycleMt { threads: n },
             EngineChoice::Essential => EngineKind::Essential,
-            EngineChoice::EssentialMt(n) => EngineKind::EssentialMt { threads: n },
             EngineChoice::Threaded => EngineKind::Threaded,
             EngineChoice::Aot => {
                 return Err(GsimError::Config(
@@ -365,9 +327,6 @@ impl OptOptions {
             check_multiple_bits: self.check_multiple_bits,
             activation_cost_model: self.activation_cost_model,
             reset_slow_path: self.reset_slow_path,
-            superinstr_fusion: self.superinstruction_fusion,
-            locality_layout: self.locality_layout,
-            threaded_dispatch: self.threaded_dispatch,
         })
     }
 }
@@ -397,13 +356,10 @@ pub struct CompileReport {
     pub compile_time: Duration,
     /// Partitioning share of the compile time (Table III).
     pub partition_time: Duration,
-    /// Compiled bytecode instruction count (code-size proxy; fused
-    /// pairs count once).
+    /// Compiled bytecode instruction count (code-size proxy).
     pub instrs: usize,
     /// 16-byte units in the flat execution image's code arena.
     pub image_units: usize,
-    /// What the superinstruction fusion pass collapsed.
-    pub fusion: FusionStats,
     /// Bytes of simulated state (Table IV data size).
     pub state_bytes: usize,
 }
@@ -468,7 +424,6 @@ impl<'g> Compiler<'g> {
             partition_time: sim.partition_time(),
             instrs: sim.num_instrs(),
             image_units: sim.image_units(),
-            fusion: sim.fusion_stats(),
             state_bytes: sim.state_bytes(),
         };
         Ok((sim, report))
@@ -616,8 +571,6 @@ circuit Counter :
             Preset::Essent,
             Preset::Arcilator,
             Preset::Gsim,
-            Preset::GsimMt(2),
-            Preset::GsimMt(4),
             Preset::GsimJit,
         ] {
             let (mut sim, _) = Compiler::new(&graph).preset(preset).build().unwrap();
@@ -627,12 +580,12 @@ circuit Counter :
     }
 
     #[test]
-    fn staircase_has_twelve_entries_and_runs() {
+    fn staircase_has_ten_entries_and_runs() {
         let graph = gsim_firrtl::compile(COUNTER).unwrap();
         let stairs = OptOptions::staircase();
-        // The paper's nine techniques plus baseline, then the two
-        // substrate-level image switches (layout, fusion).
-        assert_eq!(stairs.len(), 12);
+        // Exactly the paper's nine techniques plus the baseline.
+        assert_eq!(stairs.len(), 10);
+        assert_eq!(stairs.last().unwrap().1, OptOptions::all());
         for (name, opts) in stairs {
             let (mut sim, _) = Compiler::new(&graph).options(opts).build().unwrap();
             sim.run(10);

@@ -133,3 +133,32 @@ fn cli_aot_backend_agrees_with_interpreter() {
         aot.stderr
     );
 }
+
+#[test]
+fn cli_threads_is_verilator_only() {
+    let design = write_design("threads");
+    // GSIM has no multithreaded engine: `--threads` must refuse, naming
+    // the preset that has one, rather than silently run one thread.
+    let out = Command::new(env!("CARGO_BIN_EXE_gsim"))
+        .arg(&design)
+        .args(["--preset", "gsim", "--threads", "2", "--cycles", "8"])
+        .output()
+        .expect("failed to spawn gsim binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "gsim --threads must fail:\n{stderr}");
+    assert!(
+        stderr.contains("error:") && stderr.contains("--preset verilator"),
+        "the refusal must name the verilator preset:\n{stderr}"
+    );
+    // Verilator `--threads N` runs, and agrees with one thread.
+    let mt = run_gsim(
+        &design,
+        &["--preset", "verilator", "--threads", "2", "--cycles", "64"],
+    );
+    assert!(mt.stderr.contains("Verilator-2T"), "{}", mt.stderr);
+    let st = run_gsim(&design, &["--preset", "verilator", "--cycles", "64"]);
+    assert_eq!(
+        mt.stdout, st.stdout,
+        "Verilator-2T disagrees with one thread"
+    );
+}

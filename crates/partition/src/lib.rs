@@ -29,10 +29,7 @@
 
 pub mod cluster;
 pub mod kernighan;
-pub mod levels;
 pub mod mffc;
-
-pub use levels::SupernodeDag;
 
 use gsim_graph::{Graph, NodeId, Uses};
 use std::time::{Duration, Instant};

@@ -1,17 +1,14 @@
 //! Bytecode compilation: graph → state layout + flat execution image.
 //!
-//! Each node compiles to a short mid-level [`Instr`] stream. When
-//! superinstruction fusion is enabled, a peephole pass collapses the
-//! most frequent adjacent pairs (see [`fuse_instrs`]); the stream is
-//! then lowered into the contiguous encoded arena of
-//! [`crate::image::ExecImage`], and the [`Task`] keeps only a unit
-//! range into it. With the locality-aware layout enabled, state slots
-//! are segregated by role (inputs, register current/shadow pairs,
+//! Each node compiles to a short mid-level [`Instr`] stream, lowered
+//! into the contiguous encoded arena of [`crate::image::ExecImage`];
+//! the [`Task`] keeps only a unit range into it. State slots are
+//! segregated by role (inputs, register current/shadow pairs,
 //! combinational values in sweep order) so the essential sweep and the
 //! commit phase each walk contiguous memory.
 
 use crate::image::{ExecImage, TaskCode};
-use crate::storage::{MemArena, Slot, Space};
+use crate::storage::{MemArena, Slot};
 use crate::{CompileError, EngineKind, SimOptions};
 use gsim_graph::{Expr, ExprKind, Graph, NodeId, NodeKind, PrimOp, Uses};
 use gsim_partition::{Algorithm, Partition, PartitionOptions};
@@ -103,25 +100,6 @@ pub(crate) enum Instr {
         mem: u32,
         addr: Slot,
     },
-    /// Fused compare→mux: `a ⊗ b` (signedness from `a`) selects `t` or
-    /// `f`. Produced only by [`fuse_instrs`].
-    CmpMux {
-        /// One of the six comparison [`BinOp`]s.
-        cmp: BinOp,
-        dst: Slot,
-        a: Slot,
-        b: Slot,
-        t: Slot,
-        f: Slot,
-    },
-    /// Fused cat-of-const: `(a << shift) | imm`, masked to `dst.width`.
-    /// Produced only by [`fuse_instrs`]; always single-word.
-    CatImm {
-        dst: Slot,
-        a: Slot,
-        imm: u64,
-        shift: u32,
-    },
 }
 
 /// What a task is, for engine epilogues.
@@ -145,11 +123,9 @@ pub(crate) struct Task {
     pub kind: TaskKind,
     /// Encoded unit range into [`Compiled::image`]'s code arena.
     pub code: (u32, u32),
-    /// Logical instructions executed per evaluation (post-fusion;
-    /// multi-unit encodings count once).
+    /// Logical instructions executed per evaluation (multi-unit
+    /// encodings count once).
     pub n_instrs: u32,
-    /// Fused superinstructions among `n_instrs`.
-    pub n_fused: u32,
     /// Every unit is narrow: eligible for the fast dispatch loop.
     pub narrow_only: bool,
     /// Where the instruction stream leaves the value.
@@ -161,28 +137,6 @@ pub(crate) struct Task {
     pub act: (u32, u32),
     /// Activation mode chosen by the cost model.
     pub branchless: bool,
-}
-
-/// Compile-time superinstruction fusion statistics (the pairs the
-/// flat-image fusion pass collapsed).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FusionStats {
-    /// op→masking-copy pairs collapsed by retargeting the producer's
-    /// destination (includes register shadow copies).
-    pub masking_copies: u32,
-    /// Subset of `masking_copies` whose target is a register shadow.
-    pub reg_shadow_copies: u32,
-    /// compare→mux pairs fused into a single `CmpMux`.
-    pub cmp_mux: u32,
-    /// cat-of-const collapsed into an immediate-carrying `CatImm`.
-    pub cat_const: u32,
-}
-
-impl FusionStats {
-    /// Total adjacent pairs collapsed.
-    pub fn fused_pairs(&self) -> u32 {
-        self.masking_copies + self.cmp_mux + self.cat_const
-    }
 }
 
 /// Register commit metadata.
@@ -219,16 +173,11 @@ pub(crate) struct WritePortInfo {
 pub(crate) struct Compiled {
     /// The flat execution image every engine runs off.
     pub image: ExecImage,
-    /// What the fusion pass collapsed (all zero when fusion is off).
-    pub fusion: FusionStats,
     pub tasks: Vec<Task>,
     /// Task index ranges per supernode (essential engines).
     pub supernode_tasks: Vec<(u32, u32)>,
     /// Task index ranges per level (multithreaded full-cycle engine).
     pub level_tasks: Vec<(u32, u32)>,
-    /// Supernode indices per dependency-DAG level (parallel essential
-    /// engine); empty for the other engine kinds.
-    pub supernode_levels: Vec<Vec<u32>>,
     pub consts: Vec<u64>,
     pub state_words: usize,
     pub scratch_words: usize,
@@ -264,7 +213,7 @@ pub(crate) fn compile(graph: &Graph, opts: &SimOptions) -> Result<Compiled, Comp
     graph
         .validate()
         .map_err(|e| CompileError::InvalidGraph(e.to_string()))?;
-    if let EngineKind::FullCycleMt { threads } | EngineKind::EssentialMt { threads } = opts.engine {
+    if let EngineKind::FullCycleMt { threads } = opts.engine {
         if threads == 0 {
             return Err(CompileError::NoThreads);
         }
@@ -273,7 +222,7 @@ pub(crate) fn compile(graph: &Graph, opts: &SimOptions) -> Result<Compiled, Comp
     // Schedule: essential uses the partition's supernode order; the
     // full-cycle engines use one supernode per node in topo/level order.
     let (partition, level_bounds) = match opts.engine {
-        EngineKind::Essential | EngineKind::EssentialMt { .. } | EngineKind::Threaded => {
+        EngineKind::Essential | EngineKind::Threaded => {
             (gsim_partition::build(graph, &opts.partition), Vec::new())
         }
         EngineKind::FullCycle => (
@@ -303,14 +252,6 @@ pub(crate) fn compile(graph: &Graph, opts: &SimOptions) -> Result<Compiled, Comp
         }
     };
     let partition_time = partition.build_time;
-    // The parallel essential engine schedules over the supernode
-    // dependency DAG: levels of mutually independent supernodes.
-    let supernode_levels = if matches!(opts.engine, EngineKind::EssentialMt { .. }) {
-        gsim_partition::SupernodeDag::compute(graph, &partition).groups
-    } else {
-        Vec::new()
-    };
-
     let uses = Uses::build(graph);
     let mut c = Compiler {
         graph,
@@ -327,45 +268,34 @@ pub(crate) fn compile(graph: &Graph, opts: &SimOptions) -> Result<Compiled, Comp
         scratch_high: 0,
     };
 
-    // Slot assignment in schedule order (cache locality of the sweep).
-    // The locality-aware layout additionally segregates the state
-    // spaces: top-level inputs first, then register current/shadow
-    // pairs (so the commit phase's shadow→current copies walk adjacent
-    // words), then combinational values contiguous in sweep order.
-    // Write-port staging slots land after everything during task
-    // compilation. The legacy layout interleaves all of it in supernode
-    // order and allocates shadows lazily, as before this pass existed.
+    // Slot assignment in schedule order (cache locality of the sweep),
+    // segregated by state space: top-level inputs first, then register
+    // current/shadow pairs (so the commit phase's shadow→current copies
+    // walk adjacent words), then combinational values contiguous in
+    // sweep order. Write-port staging slots land after everything
+    // during task compilation.
     let mut shadow_slots: HashMap<usize, Slot> = HashMap::new();
-    if opts.locality_layout {
-        for members in &partition.supernodes {
-            for &id in members {
-                let node = graph.node(id);
-                if matches!(node.kind, NodeKind::Input) {
-                    c.node_slot[id.index()] = c.alloc_state(node.width, node.signed);
-                }
+    for members in &partition.supernodes {
+        for &id in members {
+            let node = graph.node(id);
+            if matches!(node.kind, NodeKind::Input) {
+                c.node_slot[id.index()] = c.alloc_state(node.width, node.signed);
             }
         }
-        for members in &partition.supernodes {
-            for &id in members {
-                let node = graph.node(id);
-                if node.kind.is_reg() {
-                    c.node_slot[id.index()] = c.alloc_state(node.width, node.signed);
-                    shadow_slots.insert(id.index(), c.alloc_state(node.width, node.signed));
-                }
+    }
+    for members in &partition.supernodes {
+        for &id in members {
+            let node = graph.node(id);
+            if node.kind.is_reg() {
+                c.node_slot[id.index()] = c.alloc_state(node.width, node.signed);
+                shadow_slots.insert(id.index(), c.alloc_state(node.width, node.signed));
             }
         }
-        for members in &partition.supernodes {
-            for &id in members {
-                let node = graph.node(id);
-                if !matches!(node.kind, NodeKind::Input) && !node.kind.is_reg() {
-                    c.node_slot[id.index()] = c.alloc_state(node.width, node.signed);
-                }
-            }
-        }
-    } else {
-        for members in &partition.supernodes {
-            for &id in members {
-                let node = graph.node(id);
+    }
+    for members in &partition.supernodes {
+        for &id in members {
+            let node = graph.node(id);
+            if !matches!(node.kind, NodeKind::Input) && !node.kind.is_reg() {
                 c.node_slot[id.index()] = c.alloc_state(node.width, node.signed);
             }
         }
@@ -418,10 +348,7 @@ pub(crate) fn compile(graph: &Graph, opts: &SimOptions) -> Result<Compiled, Comp
     }
 
     // Compile tasks in schedule order.
-    let essential = matches!(
-        opts.engine,
-        EngineKind::Essential | EngineKind::EssentialMt { .. } | EngineKind::Threaded
-    );
+    let essential = matches!(opts.engine, EngineKind::Essential | EngineKind::Threaded);
     let mut tasks: Vec<Task> = Vec::new();
     let mut supernode_tasks = Vec::with_capacity(partition.supernodes.len());
     let mut reg_infos: Vec<RegInfo> = Vec::new();
@@ -430,7 +357,6 @@ pub(crate) fn compile(graph: &Graph, opts: &SimOptions) -> Result<Compiled, Comp
     let mut reset_groups: Vec<ResetGroup> = Vec::new();
 
     let mut image = ExecImage::default();
-    let mut fusion = FusionStats::default();
     let supernodes = partition.supernodes.clone();
     for members in &supernodes {
         let start = tasks.len() as u32;
@@ -486,9 +412,7 @@ pub(crate) fn compile(graph: &Graph, opts: &SimOptions) -> Result<Compiled, Comp
                     let mut instrs = Vec::new();
                     let mut scratch = ScratchAlloc::default();
                     let e = node.expr.as_ref().expect("reg next");
-                    let shadow = shadow_slots
-                        .remove(&id.index())
-                        .unwrap_or_else(|| c.alloc_state(node.width, node.signed));
+                    let shadow = shadow_slots.remove(&id.index()).expect("shadow slot");
                     let r = c.compile_expr(e, &mut instrs, &mut scratch);
                     if r != shadow {
                         instrs.push(copy_or_sext(shadow, r));
@@ -572,24 +496,13 @@ pub(crate) fn compile(graph: &Graph, opts: &SimOptions) -> Result<Compiled, Comp
                     )
                 }
             };
-            // Fusion, then lowering into the contiguous image.
-            let shadow_target = matches!(kind, TaskKind::Reg).then_some(result);
-            let instrs = if opts.superinstr_fusion {
-                fuse_instrs(instrs, result, &c.consts, shadow_target, &mut fusion)
-            } else {
-                instrs
-            };
-            let n_fused = instrs
-                .iter()
-                .filter(|i| matches!(i, Instr::CmpMux { .. } | Instr::CatImm { .. }))
-                .count() as u32;
+            // Lowering into the contiguous image.
             let TaskCode { range, narrow_only } = image.push_task(&instrs);
             tasks.push(Task {
                 node: id.index() as u32,
                 kind,
                 code: range,
                 n_instrs: instrs.len() as u32,
-                n_fused,
                 narrow_only,
                 result,
                 out,
@@ -633,11 +546,9 @@ pub(crate) fn compile(graph: &Graph, opts: &SimOptions) -> Result<Compiled, Comp
 
     Ok(Compiled {
         image,
-        fusion,
         tasks,
         supernode_tasks,
         level_tasks: level_bounds,
-        supernode_levels,
         consts: c.consts,
         state_words: c.state_words,
         scratch_words: c.scratch_high as usize,
@@ -660,182 +571,6 @@ pub(crate) fn compile(graph: &Graph, opts: &SimOptions) -> Result<Compiled, Comp
 
 fn reg_group_of(info: &RegInfo) -> Option<u32> {
     info.reset_group
-}
-
-/// The superinstruction fusion pass: a peephole over one task's
-/// instruction stream collapsing the most frequent adjacent pairs
-/// measured on our designs.
-///
-/// * **op → masking-copy** — `X {dst: s}; Copy {dst: o, a: s}` with `s`
-///   a single-use scratch slot and `o.width ≤ s.width` retargets `X`'s
-///   destination to `o` and drops the copy (truncating masks compose,
-///   so the value is bit-identical). This is also what collapses the
-///   **register shadow copy** at the end of every register task.
-/// * **compare → mux** — a comparison whose single use is the next
-///   mux's selector becomes one [`Instr::CmpMux`].
-/// * **cat-of-const** — a single-word `cat` whose low operand is a
-///   pool constant becomes [`Instr::CatImm`] with the value inline.
-///
-/// `keep` is the slot the engine reads after the stream runs (the
-/// task's result); counting it as a use keeps fusion away from values
-/// with a lifetime beyond the stream. Scratch offsets are never reused
-/// within a task, so offset equality identifies a value.
-fn fuse_instrs(
-    v: Vec<Instr>,
-    keep: Slot,
-    consts: &[u64],
-    shadow: Option<Slot>,
-    stats: &mut FusionStats,
-) -> Vec<Instr> {
-    let mut uses: HashMap<u32, u32> = HashMap::new();
-    {
-        let mut bump = |s: Slot| {
-            if s.space == Space::Scratch {
-                *uses.entry(s.off).or_insert(0) += 1;
-            }
-        };
-        for ins in &v {
-            match *ins {
-                Instr::Copy { a, .. }
-                | Instr::Sext { a, .. }
-                | Instr::Un { a, .. }
-                | Instr::CatImm { a, .. } => bump(a),
-                Instr::Bin { a, b, .. } | Instr::Cat { a, b, .. } => {
-                    bump(a);
-                    bump(b);
-                }
-                Instr::Mux { sel, t, f, .. } => {
-                    bump(sel);
-                    bump(t);
-                    bump(f);
-                }
-                Instr::CmpMux { a, b, t, f, .. } => {
-                    bump(a);
-                    bump(b);
-                    bump(t);
-                    bump(f);
-                }
-                Instr::ReadMem { addr, .. } => bump(addr),
-            }
-        }
-        bump(keep);
-    }
-    let used_once = |s: Slot| s.space == Space::Scratch && uses.get(&s.off) == Some(&1);
-
-    let mut out: Vec<Instr> = Vec::with_capacity(v.len());
-    for ins in v {
-        // Cat-of-const: fold the pool load into an immediate (single
-        // word, value small enough for the encoded immediate field).
-        // A constant low half becomes `(a << width(b)) | imm`; a
-        // constant high half becomes `(b << 0) | (imm << width(b))` —
-        // canonical operands never overlap the shifted immediate.
-        let ins = match ins {
-            Instr::Cat { dst, a, b }
-                if b.space == Space::Const
-                    && dst.words <= 1
-                    && b.width < 64
-                    && const_word(b, consts) <= u32::MAX as u64 =>
-            {
-                stats.cat_const += 1;
-                Instr::CatImm {
-                    dst,
-                    a,
-                    imm: const_word(b, consts),
-                    shift: b.width,
-                }
-            }
-            Instr::Cat { dst, a, b }
-                if a.space == Space::Const
-                    && dst.words <= 1
-                    && b.width < 64
-                    && const_word(a, consts) << b.width <= u32::MAX as u64 =>
-            {
-                stats.cat_const += 1;
-                Instr::CatImm {
-                    dst,
-                    a: b,
-                    imm: const_word(a, consts) << b.width,
-                    shift: 0,
-                }
-            }
-            other => other,
-        };
-        // Op → masking-copy: retarget the producer's destination.
-        if let Instr::Copy { dst: o, a: src } = ins {
-            if o.words <= 1 && used_once(src) {
-                if let Some(prev) = out.last_mut() {
-                    let d = dst_mut(prev);
-                    if d.space == Space::Scratch
-                        && d.off == src.off
-                        && d.words <= 1
-                        && o.width <= d.width
-                    {
-                        *d = o;
-                        stats.masking_copies += 1;
-                        if shadow.is_some_and(|s| s.space == o.space && s.off == o.off) {
-                            stats.reg_shadow_copies += 1;
-                        }
-                        continue;
-                    }
-                }
-            }
-        }
-        // Compare → mux: the comparison's only consumer is the
-        // selector of the immediately following mux.
-        if let Instr::Mux { dst, sel, t, f } = ins {
-            if used_once(sel) {
-                if let Some(last) = out.last_mut() {
-                    if let Instr::Bin { op, dst: s, a, b } = *last {
-                        if is_cmp(op) && s.space == Space::Scratch && s.off == sel.off {
-                            *last = Instr::CmpMux {
-                                cmp: op,
-                                dst,
-                                a,
-                                b,
-                                t,
-                                f,
-                            };
-                            stats.cmp_mux += 1;
-                            continue;
-                        }
-                    }
-                }
-            }
-        }
-        out.push(ins);
-    }
-    out
-}
-
-/// Mutable destination slot of any instruction (every kind has one).
-fn dst_mut(ins: &mut Instr) -> &mut Slot {
-    match ins {
-        Instr::Copy { dst, .. }
-        | Instr::Sext { dst, .. }
-        | Instr::Bin { dst, .. }
-        | Instr::Un { dst, .. }
-        | Instr::Mux { dst, .. }
-        | Instr::Cat { dst, .. }
-        | Instr::CatImm { dst, .. }
-        | Instr::ReadMem { dst, .. }
-        | Instr::CmpMux { dst, .. } => dst,
-    }
-}
-
-fn is_cmp(op: BinOp) -> bool {
-    matches!(
-        op,
-        BinOp::Lt | BinOp::Leq | BinOp::Gt | BinOp::Geq | BinOp::Eq | BinOp::Neq
-    )
-}
-
-/// First word of a single-word constant slot (zero-width reads zero).
-fn const_word(s: Slot, consts: &[u64]) -> u64 {
-    if s.words == 0 {
-        0
-    } else {
-        consts[s.off as usize]
-    }
 }
 
 /// Builds a `Partition` facade from explicit groups (multithreaded
@@ -1150,42 +885,7 @@ circuit C :
     }
 
     #[test]
-    fn fusion_collapses_pairs_and_preserves_counts() {
-        // A trailing masking copy (full-cycle mode), a compare feeding
-        // a mux, and a cat of a constant — one of each fusion class.
-        let g = gsim_firrtl::compile(
-            r#"
-circuit F :
-  module F :
-    input a : UInt<8>
-    input b : UInt<8>
-    output y : UInt<8>
-    output z : UInt<9>
-    y <= mux(lt(a, b), a, b)
-    z <= cat(UInt<1>(1), a)
-"#,
-        )
-        .unwrap();
-        let fused = compile(&g, &SimOptions::full_cycle()).unwrap();
-        let plain = compile(
-            &g,
-            &SimOptions {
-                superinstr_fusion: false,
-                ..SimOptions::full_cycle()
-            },
-        )
-        .unwrap();
-        assert!(fused.fusion.cmp_mux >= 1, "{:?}", fused.fusion);
-        assert!(fused.fusion.cat_const >= 1, "{:?}", fused.fusion);
-        assert!(fused.fusion.masking_copies >= 1, "{:?}", fused.fusion);
-        assert_eq!(plain.fusion, FusionStats::default());
-        let fused_n: u32 = fused.tasks.iter().map(|t| t.n_instrs).sum();
-        let plain_n: u32 = plain.tasks.iter().map(|t| t.n_instrs).sum();
-        assert!(fused_n < plain_n, "fusion must shrink the stream");
-    }
-
-    #[test]
-    fn locality_layout_segregates_spaces() {
+    fn state_layout_segregates_spaces() {
         let g = gsim_firrtl::compile(
             r#"
 circuit L :

@@ -32,14 +32,11 @@ pub struct Counters {
     pub reset_checks: u64,
     /// Bytecode instructions executed.
     pub instrs_executed: u64,
-    /// Fused superinstructions among `instrs_executed` (compare→mux,
-    /// cat-of-const) — the runtime side of the dispatch breakdown.
-    pub fused_executed: u64,
 }
 
 impl Counters {
     /// Accumulates `other` into `self` — used by the multithreaded
-    /// engines to merge per-thread counters into the simulator's
+    /// engine to merge per-thread counters into the simulator's
     /// totals (the per-thread sum is deterministic for a fixed thread
     /// count, so merged stats stay stable run to run).
     pub fn merge(&mut self, other: &Counters) {
@@ -52,16 +49,6 @@ impl Counters {
         self.value_changes += other.value_changes;
         self.reset_checks += other.reset_checks;
         self.instrs_executed += other.instrs_executed;
-        self.fused_executed += other.fused_executed;
-    }
-
-    /// Fraction of executed instructions that were fused
-    /// superinstructions.
-    pub fn fused_fraction(&self) -> f64 {
-        if self.instrs_executed == 0 {
-            return 0.0;
-        }
-        self.fused_executed as f64 / self.instrs_executed as f64
     }
 
     /// Executed instructions per simulated cycle.

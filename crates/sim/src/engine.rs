@@ -4,12 +4,12 @@
 //! eval/commit/activation machinery lives in [`crate::executor`] and is
 //! shared between the sequential and parallel paths. The drivers only
 //! decide *what* to sweep (all tasks, activated supernodes, level
-//! slices) and *where* the state lives (plain words or shared atomics).
+//! chunks) and *where* the state lives (plain words or shared atomics).
 
 use crate::compile::{self, Compiled, TaskKind};
 use crate::counters::Counters;
 use crate::exec::{AtomicMems, Ctx};
-use crate::executor::{self, ActiveBits, NoActivation, SharedBits, SpinBarrier};
+use crate::executor::{self, ActiveBits, NoActivation, SpinBarrier};
 use crate::session::{GsimError, MemoryInfo, Session, SessionFrame, SignalInfo, SnapshotId};
 use crate::storage::{AtomicStateRef, MemArena, StateStore};
 use crate::threaded::{self, ThreadedProg};
@@ -41,8 +41,8 @@ impl InputFrame {
 
 /// Applies one input frame: write each poked value and activate the
 /// input's reader supernodes on change — [`Simulator::poke`] expressed
-/// over the generic stores, so the parallel engines can drive stimulus
-/// from inside their thread scope.
+/// over the generic stores, so the parallel engine can drive stimulus
+/// from inside its thread scope.
 fn apply_frame<S: StateStore, A: ActiveBits>(
     c: &Compiled,
     st: &mut S,
@@ -106,8 +106,8 @@ pub struct Simulator {
     reset_snap: Vec<bool>,
     counters: Counters,
     cycle: u64,
-    /// The lowered threaded-code program ([`EngineKind::Threaded`] with
-    /// `threaded_dispatch` on). When present, `state` is the combined
+    /// The lowered threaded-code program ([`EngineKind::Threaded`]
+    /// only). When present, `state` is the combined
     /// `[state | scratch | consts]` arena the records index into; the
     /// persistent state occupies the prefix at unchanged offsets, so
     /// every poke/peek/commit/snapshot path works untouched. Shared
@@ -168,8 +168,7 @@ impl Simulator {
     pub fn compile(graph: &Graph, opts: &SimOptions) -> Result<Simulator, CompileError> {
         let mut c = compile::compile(graph, opts)?;
         let mems = std::mem::take(&mut c.mems);
-        let threaded = (opts.engine == EngineKind::Threaded && opts.threaded_dispatch)
-            .then(|| Arc::new(threaded::lower(&c)));
+        let threaded = (opts.engine == EngineKind::Threaded).then(|| Arc::new(threaded::lower(&c)));
         let state = match &threaded {
             // Combined arena: persistent state in the prefix (same
             // offsets as the plain engines), scratch and the const
@@ -253,14 +252,8 @@ impl Simulator {
         self.c.num_supernodes
     }
 
-    /// Number of levels in the supernode dependency DAG (barriers per
-    /// cycle of the parallel essential engine; 0 for other engines).
-    pub fn num_supernode_levels(&self) -> usize {
-        self.c.supernode_levels.len()
-    }
-
     /// Number of logical bytecode instructions in the compiled design
-    /// (a code size proxy for Table IV; fused pairs count once).
+    /// (a code size proxy for Table IV).
     pub fn num_instrs(&self) -> usize {
         self.c.tasks.iter().map(|t| t.n_instrs as usize).sum()
     }
@@ -269,12 +262,6 @@ impl Simulator {
     /// arena (multi-operand instructions take two).
     pub fn image_units(&self) -> usize {
         self.c.image.code.len()
-    }
-
-    /// What the superinstruction fusion pass collapsed at compile time
-    /// (all zero when fusion is disabled).
-    pub fn fusion_stats(&self) -> compile::FusionStats {
-        self.c.fusion
     }
 
     /// Bytes of mutable signal state (Table IV's "data size"; memories
@@ -429,8 +416,8 @@ impl Simulator {
             return self.run_driven_untraced(n, &mut drive);
         }
         // Traced: capture after every cycle. Cycle-at-a-time stepping
-        // also makes the multithreaded engines observable per cycle
-        // (they only publish their atomic images at scope exit).
+        // also makes the multithreaded engine observable per cycle
+        // (it only publishes its atomic images at scope exit).
         for _ in 0..n {
             self.run_driven_untraced(1, &mut drive);
             self.capture_trace();
@@ -479,7 +466,6 @@ impl Simulator {
                 }
             }
             EngineKind::FullCycleMt { threads } => self.run_full_mt(n, threads.max(1), drive),
-            EngineKind::EssentialMt { threads } => self.run_essential_mt(n, threads.max(1), drive),
         }
     }
 
@@ -581,7 +567,7 @@ impl Simulator {
     }
 
     /// Time the threaded-code lowering pass took at compile time
-    /// (zero for other engines and under the `--no-threaded` ablation).
+    /// (zero for the other engines).
     pub fn lowering_time(&self) -> std::time::Duration {
         self.threaded
             .as_ref()
@@ -760,12 +746,10 @@ impl Simulator {
     // ----- threaded-code essential-signal -----
 
     fn step_threaded(&mut self) {
-        let Some(prog) = &self.threaded else {
-            // `--no-threaded` ablation: identical semantics through
-            // the plain essential interpreter.
-            self.step_essential();
-            return;
-        };
+        let prog = self
+            .threaded
+            .as_ref()
+            .expect("the threaded engine carries its lowered program");
         {
             let mut ctx = threaded::TCtx {
                 mem: &mut self.state[..],
@@ -918,154 +902,12 @@ impl Simulator {
         self.counters.cycles += n;
         self.cycle += n;
     }
-
-    // ----- level-parallel essential-signal -----
-
-    fn run_essential_mt<F>(&mut self, n: u64, threads: usize, drive: &mut F)
-    where
-        F: FnMut(u64, &mut InputFrame),
-    {
-        if threads == 1 {
-            // One worker: the level barriers and atomic images buy
-            // nothing, so delegate to the sequential essential sweep —
-            // same eval/commit machinery, identical results and
-            // semantic work counters (only the examination strategy
-            // differs).
-            let mut frame = InputFrame::default();
-            for _ in 0..n {
-                frame.pokes.clear();
-                drive(self.cycle, &mut frame);
-                let mut st: &mut [u64] = &mut self.state;
-                let mut flags: &mut [u64] = &mut self.flags;
-                apply_frame(&self.c, &mut st, &mut flags, &frame);
-                self.step_essential();
-            }
-            return;
-        }
-        // Shared atomic images of the state, active bits, fired set and
-        // memories for the run.
-        let state: Vec<AtomicU64> = self.state.iter().map(|&w| AtomicU64::new(w)).collect();
-        let flags: Vec<AtomicU64> = self.flags.iter().map(|&w| AtomicU64::new(w)).collect();
-        let fired: Vec<AtomicU64> = self.fired.iter().map(|&w| AtomicU64::new(w)).collect();
-        let mems = AtomicMems::snapshot(&self.mems);
-        let barrier = SpinBarrier::new(threads);
-        let c = &self.c;
-        let supernode_regs = &self.supernode_regs;
-        let word_skip = self.opts.check_multiple_bits;
-        let base_cycle = self.cycle;
-        // The first cycle's stimulus lands before the team starts.
-        let mut frame = InputFrame::default();
-        drive(base_cycle, &mut frame);
-        apply_frame(
-            c,
-            &mut AtomicStateRef(&state[..]),
-            &mut SharedBits(&flags),
-            &frame,
-        );
-        // One cycle's level sweep for worker `t`: the single shared
-        // body both worker roles run. `t`'s static slice of each level
-        // is claimed with word scans; one barrier per level.
-        let sweep_cycle = |t: usize, scratch: &mut [u64], counters: &mut Counters| {
-            for level in &c.supernode_levels {
-                let per = level.len().div_ceil(threads).max(1);
-                let s = (t * per).min(level.len());
-                let e = (s + per).min(level.len());
-                if s < e {
-                    let mut ctx = Ctx {
-                        state: AtomicStateRef(&state[..]),
-                        scratch: &mut scratch[..],
-                        consts: &c.consts,
-                        mems: &mems,
-                    };
-                    executor::sweep_level_slice(
-                        c,
-                        &mut ctx,
-                        &flags,
-                        &fired,
-                        counters,
-                        &level[s..e],
-                        word_skip,
-                    );
-                }
-                barrier.wait();
-            }
-        };
-        // As in `run_full_mt`, the calling thread is worker 0 and also
-        // runs commit + next-cycle stimulus between the cycle barriers.
-        let mut t0_counters = Counters::default();
-        let per_thread: Vec<Counters> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (1..threads)
-                .map(|t| {
-                    let (sweep_cycle, barrier) = (&sweep_cycle, &barrier);
-                    scope.spawn(move || {
-                        let mut counters = Counters::default();
-                        let mut scratch = vec![0u64; c.scratch_words.max(1)];
-                        for _ in 0..n {
-                            sweep_cycle(t, &mut scratch, &mut counters);
-                            barrier.wait(); // commit happens on worker 0
-                        }
-                        counters
-                    })
-                })
-                .collect();
-            {
-                let counters = &mut t0_counters;
-                let mut scratch = vec![0u64; c.scratch_words.max(1)];
-                let mut dirty = vec![false; mems.arenas.len()];
-                let mut reset_snap = Vec::new();
-                for i in 0..n {
-                    sweep_cycle(0, &mut scratch, counters);
-                    let mut st = AtomicStateRef(&state[..]);
-                    let mut mw: &AtomicMems = &mems;
-                    executor::commit_essential(
-                        c,
-                        &mut st,
-                        &mut mw,
-                        &mut SharedBits(&flags),
-                        &mut SharedBits(&fired),
-                        supernode_regs,
-                        &mut dirty,
-                        counters,
-                        &mut reset_snap,
-                    );
-                    if i + 1 < n {
-                        frame.pokes.clear();
-                        drive(base_cycle + i + 1, &mut frame);
-                        apply_frame(c, &mut st, &mut SharedBits(&flags), &frame);
-                    }
-                    barrier.wait();
-                }
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        });
-        // Copy the images back (the flags keep commit-time activations
-        // for the next cycle) and merge the per-thread counters.
-        for (i, w) in self.state.iter_mut().enumerate() {
-            *w = state[i].load(Ordering::Relaxed);
-        }
-        for (i, w) in self.flags.iter_mut().enumerate() {
-            *w = flags[i].load(Ordering::Relaxed);
-        }
-        for (i, w) in self.fired.iter_mut().enumerate() {
-            *w = fired[i].load(Ordering::Relaxed);
-        }
-        mems.copy_back(&mut self.mems);
-        self.counters.merge(&t0_counters);
-        for pc in &per_thread {
-            self.counters.merge(pc);
-        }
-        self.counters.cycles += n;
-        self.cycle += n;
-    }
 }
 
 /// The interpreter backend's [`Session`]: every engine family behind
 /// one object-safe surface. By-name frame stimulus resolves through a
 /// prebuilt input map, so [`Session::run_driven`] keeps the engines'
-/// fast path (the multithreaded engines' worker teams stay alive for
+/// fast path (the multithreaded engine's worker team stays alive for
 /// the whole run).
 impl Session for Simulator {
     fn backend(&self) -> &'static str {
@@ -1073,7 +915,6 @@ impl Session for Simulator {
             EngineKind::FullCycle => "interp/full-cycle",
             EngineKind::FullCycleMt { .. } => "interp/full-cycle-mt",
             EngineKind::Essential => "interp/essential",
-            EngineKind::EssentialMt { .. } => "interp/essential-mt",
             EngineKind::Threaded => "interp/threaded",
         }
     }
@@ -1222,17 +1063,7 @@ circuit Counter :
             ("mt2", SimOptions::full_cycle_mt(2)),
             ("essent", SimOptions::essent_like()),
             ("gsim", SimOptions::default()),
-            ("gsim-mt1", SimOptions::essential_mt(1)),
-            ("gsim-mt2", SimOptions::essential_mt(2)),
-            ("gsim-mt4", SimOptions::essential_mt(4)),
             ("gsim-jit", SimOptions::threaded()),
-            (
-                "gsim-jit-ablated",
-                SimOptions {
-                    threaded_dispatch: false,
-                    ..SimOptions::threaded()
-                },
-            ),
         ]
     }
 
@@ -1258,7 +1089,7 @@ circuit Counter :
     #[test]
     fn essential_skips_idle_supernodes() {
         let g = gsim_firrtl::compile(COUNTER).unwrap();
-        for opts in [SimOptions::default(), SimOptions::essential_mt(2)] {
+        for opts in [SimOptions::default(), SimOptions::threaded()] {
             let mut sim = Simulator::compile(&g, &opts).unwrap();
             // Idle (en=0, after settling): the counter logic must not
             // be evaluated every cycle.
@@ -1299,27 +1130,6 @@ circuit Counter :
             word_mode.counters().aexam_checks,
             flag_mode.counters().aexam_checks
         );
-    }
-
-    #[test]
-    fn essential_mt_matches_sequential_work_counters() {
-        // The parallel sweep evaluates exactly the supernodes the
-        // sequential sweep does (only the examination strategy
-        // differs), and its merged stats are run-to-run stable.
-        let g = gsim_firrtl::compile(COUNTER).unwrap();
-        let mut seq = Simulator::compile(&g, &SimOptions::default()).unwrap();
-        let mut par = Simulator::compile(&g, &SimOptions::essential_mt(4)).unwrap();
-        let mut par2 = Simulator::compile(&g, &SimOptions::essential_mt(4)).unwrap();
-        for sim in [&mut seq, &mut par, &mut par2] {
-            sim.poke_u64("en", 1).unwrap();
-            sim.run(40);
-        }
-        let (s, p) = (seq.counters(), par.counters());
-        assert_eq!(s.supernode_evals, p.supernode_evals);
-        assert_eq!(s.node_evals, p.node_evals);
-        assert_eq!(s.value_changes, p.value_changes);
-        assert_eq!(s.activations, p.activations);
-        assert_eq!(p, par2.counters(), "parallel stats wobbled between runs");
     }
 
     #[test]
@@ -1422,22 +1232,15 @@ circuit W :
         assert!(sim.state_bytes() > 0);
         assert!(sim.num_instrs() > 0);
         assert!(sim.num_supernodes() > 0);
-        // The level schedule only exists for the parallel essential
-        // engine.
-        assert_eq!(sim.num_supernode_levels(), 0);
-        let mt = Simulator::compile(&g, &SimOptions::essential_mt(2)).unwrap();
-        assert!(mt.num_supernode_levels() > 0);
     }
 
     #[test]
     fn zero_threads_is_a_compile_error() {
         let g = gsim_firrtl::compile(COUNTER).unwrap();
-        for opts in [SimOptions::essential_mt(0), SimOptions::full_cycle_mt(0)] {
-            assert_eq!(
-                Simulator::compile(&g, &opts).unwrap_err(),
-                CompileError::NoThreads
-            );
-        }
+        assert_eq!(
+            Simulator::compile(&g, &SimOptions::full_cycle_mt(0)).unwrap_err(),
+            CompileError::NoThreads
+        );
     }
 
     #[test]

@@ -492,39 +492,11 @@ fn exec_encoded<S: StateStore, M: MemStore, const HAS_WIDE: bool>(
                 };
                 ctx.pw_write(ins.dst, ins.xd, v);
             }
-            Op::CatImm => {
-                let v = (ctx.pw(ins.a) << ins.xb) | ins.b as u64;
-                ctx.pw_write(ins.dst, ins.xd, v);
-            }
             Op::ReadMem => {
                 let mut entry = [0u64; 1];
                 let addr = ctx.pw(ins.a);
                 ctx.mems.read_entry(ins.b, addr, &mut entry);
                 ctx.pw_write(ins.dst, ins.xd, entry[0]);
-            }
-            Op::CmpMuxLt
-            | Op::CmpMuxLeq
-            | Op::CmpMuxGt
-            | Op::CmpMuxGeq
-            | Op::CmpMuxEq
-            | Op::CmpMuxNeq => {
-                let ord = encoded_cmp(ctx, &ins);
-                let take_t = match ins.op {
-                    Op::CmpMuxLt => ord.is_lt(),
-                    Op::CmpMuxLeq => ord.is_le(),
-                    Op::CmpMuxGt => ord.is_gt(),
-                    Op::CmpMuxGeq => ord.is_ge(),
-                    Op::CmpMuxEq => ord.is_eq(),
-                    _ => ord.is_ne(),
-                };
-                let ext = code[i];
-                i += 1;
-                let v = if take_t {
-                    ctx.pw_ext(ext.a, ext.xa)
-                } else {
-                    ctx.pw_ext(ext.b, ext.xb)
-                };
-                ctx.pw_write(ins.dst, ins.xd, v);
             }
             Op::Ext => unreachable!("extension unit dispatched directly"),
             Op::Wide => {
@@ -609,23 +581,6 @@ pub(crate) fn exec_one<S: StateStore, M: MemStore>(ctx: &mut Ctx<'_, S, M>, inst
                 !words::is_zero(&buf.as_ref()[..sel.words as usize])
             };
             write_select(ctx, dst, if take_t { t } else { f });
-        }
-        Instr::CmpMux {
-            cmp,
-            dst,
-            a,
-            b,
-            t,
-            f,
-        } => {
-            let take_t = cmp_slots(ctx, cmp, a, b);
-            write_select(ctx, dst, if take_t { t } else { f });
-        }
-        Instr::CatImm { dst, a, imm, shift } => {
-            // Fusion only forms narrow cat-of-const instructions.
-            debug_assert!(dst.words <= 1 && shift < 64);
-            let v = (ctx.word(a) << shift) | imm;
-            ctx.write1(dst, v);
         }
         Instr::Cat { dst, a, b } => {
             if dst.words <= 1 {
@@ -732,41 +687,6 @@ fn cmp_narrow(av: u64, bv: u64, signed: bool, pick: impl Fn(Ordering) -> bool) -
         av.cmp(&bv)
     };
     pick(ord) as u64
-}
-
-/// Evaluates a comparison between two slots of any width (signedness
-/// from operand `a`, as everywhere in the interpreter).
-fn cmp_slots<S: StateStore, M: MemStore>(ctx: &Ctx<'_, S, M>, op: BinOp, a: Slot, b: Slot) -> bool {
-    let signed = a.signed;
-    let ord = if a.words <= 1 && b.words <= 1 {
-        let av = ctx.word_ext(a);
-        let bv = ctx.word_ext(b);
-        if signed {
-            (av as i64).cmp(&(bv as i64))
-        } else {
-            av.cmp(&bv)
-        }
-    } else {
-        let n = a.words.max(b.words).max(1) as usize;
-        let mut av = wide_buf(n as u16);
-        let mut bv = wide_buf(n as u16);
-        ctx.read_ext(a, av.as_mut());
-        ctx.read_ext(b, bv.as_mut());
-        if signed {
-            words::scmp_extended(&av.as_ref()[..n], &bv.as_ref()[..n])
-        } else {
-            words::ucmp(&av.as_ref()[..n], &bv.as_ref()[..n])
-        }
-    };
-    match op {
-        BinOp::Lt => ord.is_lt(),
-        BinOp::Leq => ord.is_le(),
-        BinOp::Gt => ord.is_gt(),
-        BinOp::Geq => ord.is_ge(),
-        BinOp::Eq => ord.is_eq(),
-        BinOp::Neq => ord.is_ne(),
-        other => unreachable!("{other:?} is not a comparison"),
-    }
 }
 
 /// Mux-style write-back: the selected arm, extended per its sign, into

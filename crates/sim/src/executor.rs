@@ -2,21 +2,21 @@
 //!
 //! Every engine family is a thin driver over the routines in this
 //! module: instruction-stream sweeps ([`run_task_range`],
-//! [`eval_supernode`]), essential-signal scans ([`sweep_essential`],
-//! [`sweep_level_slice`]), successor activation ([`activate`]) and the
+//! [`eval_supernode`]), the essential-signal scan
+//! ([`sweep_essential`]), successor activation ([`activate`]) and the
 //! commit phase ([`commit_full_cycle`], [`commit_essential`]). The
-//! routines are generic over three small traits so the *same* code
-//! runs single-threaded and multithreaded:
+//! routines are generic over small traits so the *same* code runs
+//! single-threaded and on the levelized multithreaded full-cycle
+//! engine:
 //!
 //! * [`StateStore`] (from [`crate::storage`]) — plain words vs shared
 //!   relaxed atomics for the signal state;
-//! * [`ActiveBits`] — plain words vs shared atomic words for the
-//!   supernode active/fired bitsets (cross-thread activation is a
-//!   relaxed `fetch_or`; level barriers order cross-level visibility);
+//! * [`ActiveBits`] — the supernode active/fired bitsets, or
+//!   [`NoActivation`] for the full-cycle engines, which track none;
 //! * [`MemWrite`] — in-place vs atomic memory arenas for the commit
 //!   phase's write ports.
 //!
-//! [`SpinBarrier`] is the level barrier of both parallel engines: a
+//! [`SpinBarrier`] is the level barrier of the parallel engine: a
 //! sense-reversing spin barrier, roughly an order of magnitude cheaper
 //! per rendezvous than `std::sync::Barrier`, which matters when a
 //! design has dozens of levels per simulated cycle.
@@ -25,13 +25,12 @@ use crate::compile::{Compiled, TaskKind};
 use crate::counters::Counters;
 use crate::exec::{self, Ctx, MemStore};
 use crate::storage::{MemArena, Slot, Space, StateStore};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 // ---------------------------------------------------------- active bits
 
 /// A word-addressed supernode bitset (the active flags and the fired
-/// set), abstracting plain words (sequential engines) over shared
-/// atomics (parallel engines).
+/// set).
 pub(crate) trait ActiveBits {
     /// Current value of word `w`.
     fn load_word(&self, w: usize) -> u64;
@@ -61,32 +60,6 @@ impl ActiveBits for &mut [u64] {
     #[inline(always)]
     fn clear_word(&mut self, w: usize, mask: u64) {
         self[w] &= !mask;
-    }
-}
-
-/// Shared atomic bit words. All operations are relaxed RMWs: within a
-/// level no two threads touch the same supernode's bit for claiming
-/// (slices are disjoint), and activation targets strictly higher
-/// levels, ordered by the level barrier.
-#[derive(Clone, Copy)]
-pub(crate) struct SharedBits<'a>(pub &'a [AtomicU64]);
-
-impl ActiveBits for SharedBits<'_> {
-    #[inline(always)]
-    fn load_word(&self, w: usize) -> u64 {
-        self.0[w].load(Ordering::Relaxed)
-    }
-
-    #[inline(always)]
-    fn or_word(&mut self, w: usize, mask: u64) {
-        if mask != 0 {
-            self.0[w].fetch_or(mask, Ordering::Relaxed);
-        }
-    }
-
-    #[inline(always)]
-    fn clear_word(&mut self, w: usize, mask: u64) {
-        self.0[w].fetch_and(!mask, Ordering::Relaxed);
     }
 }
 
@@ -196,7 +169,6 @@ pub(crate) fn run_task_range<S: StateStore, M: MemStore>(
         exec::run_task(ctx, &c.image, task.code, task.narrow_only);
         counters.node_evals += 1;
         counters.instrs_executed += task.n_instrs as u64;
-        counters.fused_executed += task.n_fused as u64;
     }
 }
 
@@ -225,7 +197,6 @@ pub(crate) fn eval_supernode<S, M, A, F>(
         }
         counters.node_evals += 1;
         counters.instrs_executed += task.n_instrs as u64;
-        counters.fused_executed += task.n_fused as u64;
         exec::run_task(ctx, &c.image, task.code, task.narrow_only);
         if matches!(task.kind, TaskKind::Comb) {
             let changed = store_if_changed(ctx, task.result, task.out);
@@ -297,77 +268,6 @@ pub(crate) fn sweep_essential<S, M, A, F>(
                     flags.clear_word(w, 1u64 << (sn - base));
                     eval_supernode(c, ctx, flags, fired, counters, sn);
                 }
-            }
-        }
-    }
-}
-
-/// Drains one thread's slice of one level's activated supernodes — the
-/// parallel essential driver's inner loop.
-///
-/// `sns` is a sorted slice of same-level supernode indices owned
-/// exclusively by this thread, so claims never contend; bits are still
-/// cleared with an atomic RMW because other threads may concurrently
-/// set *different* bits in the same word (activation of higher-level
-/// supernodes). Activation from this level only ever targets higher
-/// levels, so one snapshot per flag word is safe, and with `word_skip`
-/// one load covers every slice member sharing that word (Listing 4
-/// adapted to the sliced scan).
-pub(crate) fn sweep_level_slice<S, M>(
-    c: &Compiled,
-    ctx: &mut Ctx<'_, S, M>,
-    flag_words: &[AtomicU64],
-    fired_words: &[AtomicU64],
-    counters: &mut Counters,
-    sns: &[u32],
-    word_skip: bool,
-) where
-    S: StateStore,
-    M: MemStore,
-{
-    let mut flags = SharedBits(flag_words);
-    let mut fired = SharedBits(fired_words);
-    let mut i = 0;
-    while i < sns.len() {
-        if word_skip {
-            // Group consecutive slice members by flag word: one check
-            // covers the whole span, skipping idle spans wholesale.
-            let w = (sns[i] >> 6) as usize;
-            let mut mask = 0u64;
-            let mut j = i;
-            while j < sns.len() && (sns[j] >> 6) as usize == w {
-                mask |= 1u64 << (sns[j] & 63);
-                j += 1;
-            }
-            counters.aexam_checks += 1;
-            let bits = flags.load_word(w) & mask;
-            if bits != 0 {
-                flags.clear_word(w, bits);
-                let mut rem = bits;
-                while rem != 0 {
-                    let t = rem.trailing_zeros();
-                    rem &= rem - 1;
-                    counters.aexam_checks += 1;
-                    eval_supernode(
-                        c,
-                        ctx,
-                        &mut flags,
-                        &mut fired,
-                        counters,
-                        (w * 64) + t as usize,
-                    );
-                }
-            }
-            i = j;
-        } else {
-            let sn = sns[i];
-            i += 1;
-            counters.aexam_checks += 1;
-            let w = (sn >> 6) as usize;
-            let bit = 1u64 << (sn & 63);
-            if flags.load_word(w) & bit != 0 {
-                flags.clear_word(w, bit);
-                eval_supernode(c, ctx, &mut flags, &mut fired, counters, sn as usize);
             }
         }
     }
@@ -667,16 +567,6 @@ mod tests {
         assert_eq!(bits.load_word(1), 1 << 6);
         bits.clear_word(0, 1 << 5);
         assert_eq!(bits.load_word(0), 0);
-    }
-
-    #[test]
-    fn shared_bits_roundtrip() {
-        let cells: Vec<AtomicU64> = (0..2).map(|_| AtomicU64::new(0)).collect();
-        let mut bits = SharedBits(&cells);
-        bits.set_bit(65);
-        assert_eq!(bits.load_word(1), 2);
-        bits.clear_word(1, 2);
-        assert_eq!(bits.load_word(1), 0);
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //! destination are dropped outright (they have no observable effect),
 //! so the hot loop carries no zero-width guards at all.
 //!
-//! Multi-operand instructions (`mux`, the fused compare→mux) occupy two
-//! consecutive units; the second is an [`Op::Ext`] carrying the extra
+//! Multi-operand instructions (`mux`) occupy two consecutive units; the second is an [`Op::Ext`] carrying the extra
 //! operands and is consumed by the first unit's dispatch arm, never
 //! dispatched itself.
 
@@ -82,19 +81,8 @@ pub(crate) enum Op {
     Mux,
     /// `xb` holds the low operand's width (the shift amount).
     Cat,
-    /// Fused cat-of-const: `b` is the low operand's value as an
-    /// immediate, `xb` the shift amount.
-    CatImm,
     /// `a` = address, `b` = memory index.
     ReadMem,
-    // Fused compare→mux: `a ⊗ b` selects between the [`Op::Ext`]
-    // unit's `a` (true) and `b` (false) operands.
-    CmpMuxLt,
-    CmpMuxLeq,
-    CmpMuxGt,
-    CmpMuxGeq,
-    CmpMuxEq,
-    CmpMuxNeq,
     /// Extension unit carrying extra operands for the preceding unit;
     /// never dispatched directly.
     Ext,
@@ -186,9 +174,7 @@ fn dst_of(ins: &Instr) -> Slot {
         | Instr::Un { dst, .. }
         | Instr::Mux { dst, .. }
         | Instr::Cat { dst, .. }
-        | Instr::CatImm { dst, .. }
-        | Instr::ReadMem { dst, .. }
-        | Instr::CmpMux { dst, .. } => dst,
+        | Instr::ReadMem { dst, .. } => dst,
     }
 }
 
@@ -226,21 +212,8 @@ fn un_op(op: UnOp) -> Op {
     }
 }
 
-fn cmp_mux_op(op: BinOp) -> Op {
-    match op {
-        BinOp::Lt => Op::CmpMuxLt,
-        BinOp::Leq => Op::CmpMuxLeq,
-        BinOp::Gt => Op::CmpMuxGt,
-        BinOp::Geq => Op::CmpMuxGeq,
-        BinOp::Eq => Op::CmpMuxEq,
-        BinOp::Neq => Op::CmpMuxNeq,
-        other => unreachable!("{other:?} is not a comparison"),
-    }
-}
-
 impl ExecImage {
-    /// Appends one task's (post-fusion) instruction stream to the
-    /// arena.
+    /// Appends one task's instruction stream to the arena.
     pub(crate) fn push_task(&mut self, instrs: &[Instr]) -> TaskCode {
         let lo = self.code.len() as u32;
         let mut narrow_only = true;
@@ -334,42 +307,8 @@ impl ExecImage {
                 });
                 true
             }
-            Instr::CatImm { dst, a, imm, shift }
-                if narrow(dst) && narrow(a) && imm <= u32::MAX as u64 && shift < 64 =>
-            {
-                self.code.push(EInstr {
-                    op: Op::CatImm,
-                    xa: 0,
-                    xb: shift as u8,
-                    xd: dst.width as u8,
-                    dst: pack(dst),
-                    a: pack(a),
-                    b: imm as u32,
-                });
-                true
-            }
             Instr::ReadMem { dst, mem, addr } if narrow(dst) && narrow(addr) => {
                 self.emit(Op::ReadMem, dst, addr, 0, mem, 0);
-                true
-            }
-            Instr::CmpMux {
-                cmp,
-                dst,
-                a,
-                b,
-                t,
-                f,
-            } if narrow(dst) && narrow(a) && narrow(b) && narrow(t) && narrow(f) => {
-                self.code.push(EInstr {
-                    op: cmp_mux_op(cmp),
-                    xa: meta(a),
-                    xb: meta(b),
-                    xd: dst.width as u8,
-                    dst: pack(dst),
-                    a: pack(a),
-                    b: pack(b),
-                });
-                self.ext(t, f);
                 true
             }
             ref wide => self.push_wide(wide),

@@ -3,15 +3,14 @@
 //! The optimized circuit graph is compiled into a **flat execution
 //! image**: one contiguous arena of fixed-size (16-byte) encoded
 //! instructions laid out in supernode execution order, with tasks and
-//! supernodes reduced to ranges into it, an optional superinstruction
-//! fusion pass collapsing frequent adjacent instruction pairs, and a
-//! locality-aware state-slot layout (inputs / register current+shadow
-//! pairs / sweep-ordered combinational values segregated). All-narrow
-//! tasks (every operand one word — the overwhelming majority) dispatch
-//! through a fast loop that never re-checks operand widths; multi-word
-//! instructions go through a side table. The image is executed by one
-//! of four engine families, which together stand in for every
-//! simulator the paper evaluates:
+//! supernodes reduced to ranges into it, over a state-slot layout that
+//! segregates inputs, register current+shadow pairs and sweep-ordered
+//! combinational values (the field order `gsim_codegen` gives the AoT
+//! and C++ structs). All-narrow tasks (every operand one word — the
+//! overwhelming majority) dispatch through a fast loop that never
+//! re-checks operand widths; multi-word instructions go through a side
+//! table. The image is executed by one of four engine families, which
+//! together stand in for every simulator the paper evaluates:
 //!
 //! * **Sequential full-cycle** ([`EngineKind::FullCycle`]) — evaluates
 //!   every node every cycle in topological order: the Verilator /
@@ -29,20 +28,6 @@
 //!     activation per node by successor count (§III-B);
 //!   - `reset_slow_path`: update registers speculatively and check each
 //!     distinct reset signal once per cycle (Listing 6).
-//! * **Parallel essential-signal** ([`EngineKind::EssentialMt`]) —
-//!   activity-based skipping *and* multi-core execution. The supernode
-//!   partition is condensed into a dependency DAG
-//!   ([`gsim_partition::SupernodeDag`]) whose *levels* group mutually
-//!   independent supernodes; each cycle the engine sweeps the levels in
-//!   order with one barrier per level (a bulk-synchronous schedule, as
-//!   in Manticore/Parendi). Within a level, every thread claims the
-//!   activated supernodes of its static slice, skipping idle spans with
-//!   the same `check_multiple_bits` word scans as the sequential
-//!   engine; cross-thread activation is a relaxed atomic OR into the
-//!   shared active-bit words, made visible by the next level barrier.
-//!   Thread 0 runs the commit phase (registers, resets, memory write
-//!   ports) between the last barrier of one cycle and the first of the
-//!   next.
 //! * **Threaded-code** ([`EngineKind::Threaded`]) — the essential
 //!   engine's sweep with dispatch moved to compile time: every encoded
 //!   unit is lowered once into a pre-resolved handler record (a
@@ -53,9 +38,10 @@
 //!
 //! All four families share one executor core (`executor`): the
 //! eval/commit/activation routines are generic over plain-word vs
-//! shared-atomic storage, so the sequential and parallel paths execute
-//! the same code. All engines implement identical semantics, pinned by
-//! the differential tests against [`gsim_graph::interp::RefInterp`].
+//! shared-atomic storage, so the sequential and levelized-parallel
+//! full-cycle paths execute the same code. All engines implement
+//! identical semantics, pinned by the differential tests against
+//! [`gsim_graph::interp::RefInterp`].
 //!
 //! The crate also defines the backend-agnostic [`Session`] trait —
 //! `poke`/`peek`/`load_mem`/`step`/`run_driven`/`counters`/
@@ -106,7 +92,6 @@ mod storage;
 mod supervise;
 mod threaded;
 
-pub use compile::FusionStats;
 pub use counters::Counters;
 pub use engine::{InputFrame, InputHandle, Simulator};
 pub use explore::{BranchResult, ExploreOptions, ExploreReport, Explorer, SendSessionFactory};
@@ -133,12 +118,6 @@ pub enum EngineKind {
     },
     /// Essential-signal simulation with supernode active bits.
     Essential,
-    /// Essential-signal simulation swept level-parallel across N
-    /// threads (one barrier per supernode-DAG level).
-    EssentialMt {
-        /// Number of worker threads (≥ 1).
-        threads: usize,
-    },
     /// Essential-signal simulation dispatched through the in-process
     /// threaded-code backend: each task's encoded units are lowered
     /// once, at compile time, into a dense stream of pre-resolved
@@ -166,23 +145,6 @@ pub struct SimOptions {
     /// checks at end of cycle. Requires the graph to carry `RegReset`
     /// metadata (i.e. the reset-lowering pass was *not* run).
     pub reset_slow_path: bool,
-    /// Superinstruction fusion: collapse frequent adjacent instruction
-    /// pairs (op→masking-copy, compare→mux, cat-of-const, register
-    /// shadow copies) into single fused opcodes in the execution image.
-    /// Purely a substrate optimization — results are bit-identical
-    /// either way.
-    pub superinstr_fusion: bool,
-    /// Locality-aware state layout: segregate input / register /
-    /// combinational slot spaces and number combinational slots in
-    /// sweep order. Off reproduces the legacy interleaved numbering.
-    pub locality_layout: bool,
-    /// Threaded-code dispatch: lower the execution image into
-    /// pre-resolved handler records at compile time (the
-    /// [`EngineKind::Threaded`] hot loop). When `false` the threaded
-    /// engine falls back to the plain essential interpreter — the
-    /// `--no-threaded` ablation. Purely a substrate optimization —
-    /// results and semantic counters are bit-identical either way.
-    pub threaded_dispatch: bool,
 }
 
 impl Default for SimOptions {
@@ -194,9 +156,6 @@ impl Default for SimOptions {
             check_multiple_bits: true,
             activation_cost_model: true,
             reset_slow_path: true,
-            superinstr_fusion: true,
-            locality_layout: true,
-            threaded_dispatch: true,
         }
     }
 }
@@ -220,9 +179,9 @@ impl SimOptions {
 
     /// ESSENT-like: essential-signal engine without GSIM's runtime
     /// refinements (per-flag checks, always-branchless activation,
-    /// resets in the fast path), with MFFC partitioning, and without
-    /// the substrate-level image optimizations (fusion, locality
-    /// layout) so the baseline stays honest.
+    /// resets in the fast path) and with MFFC partitioning. It runs the
+    /// same interpreter and state layout as every other preset, so the
+    /// comparison isolates the paper's techniques.
     pub fn essent_like() -> SimOptions {
         SimOptions {
             engine: EngineKind::Essential,
@@ -233,9 +192,6 @@ impl SimOptions {
             check_multiple_bits: false,
             activation_cost_model: false,
             reset_slow_path: false,
-            superinstr_fusion: false,
-            locality_layout: false,
-            threaded_dispatch: false,
         }
     }
 
@@ -244,15 +200,6 @@ impl SimOptions {
     pub fn threaded() -> SimOptions {
         SimOptions {
             engine: EngineKind::Threaded,
-            ..SimOptions::default()
-        }
-    }
-
-    /// GSIM-MT: the full GSIM configuration with the essential-signal
-    /// sweep parallelized level by level across `threads` threads.
-    pub fn essential_mt(threads: usize) -> SimOptions {
-        SimOptions {
-            engine: EngineKind::EssentialMt { threads },
             ..SimOptions::default()
         }
     }

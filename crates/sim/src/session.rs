@@ -442,7 +442,7 @@ pub trait Session {
     /// Advances `n` clock cycles, calling `drive` with the cycle
     /// number before each one to fill a [`SessionFrame`] of by-name
     /// pokes — the frame-stepping fast path: the interpreter's
-    /// multithreaded engines keep their worker team alive across all
+    /// multithreaded engine keeps its worker team alive across all
     /// `n` cycles, and the AoT session pipelines the whole run into
     /// the compiled process with a bounded number of wire round trips.
     ///

@@ -20,8 +20,8 @@
 //!   picked once at lowering from the destination width;
 //! * immediate-shift amounts are range-checked at lowering
 //!   (`imm ≥ 64` lowers straight to a zero-store handler), and the
-//!   fused two-unit encodings (`Mux`, compare→mux) fold their
-//!   extension unit into a single record.
+//!   two-unit `Mux` encoding folds its extension unit into a single
+//!   record.
 //!
 //! Multi-word instructions keep their [`crate::image::Op::Wide`] side
 //! table: [`h_wide`] splits the arena back into the classic
@@ -75,7 +75,7 @@ use std::time::Duration;
 type Handler = fn(&mut TCtx<'_>, &TInstr, u64) -> u64;
 
 /// One pre-resolved handler record. Operand fields are flat arena
-/// offsets (or immediates, per the handler); `sa`/`sb`/`sea`/`seb` are
+/// offsets (or immediates, per the handler); `sa`/`sb`/`sea` are
 /// precomputed sign-extension shift amounts (0 = identity) and `wd`
 /// the destination width for the masking specializations.
 #[derive(Clone, Copy)]
@@ -89,7 +89,6 @@ pub(crate) struct TInstr {
     sa: u8,
     sb: u8,
     sea: u8,
-    seb: u8,
     wd: u8,
 }
 
@@ -127,12 +126,11 @@ pub(crate) struct ThreadedProg {
     ttasks: Vec<TTask>,
     /// Task index ranges into `ttasks` per supernode.
     sn_tasks: Vec<(u32, u32)>,
-    /// Per-supernode counter constants `(node_evals, instrs, fused)`:
-    /// a fired supernode runs all its tasks unconditionally, so the
-    /// per-task counter contributions sum to a lowering-time constant
-    /// and the hot loop pays three adds per supernode instead of three
-    /// per task.
-    sn_counts: Vec<(u32, u32, u32)>,
+    /// Per-supernode counter constants `(node_evals, instrs)`: a fired
+    /// supernode runs all its tasks unconditionally, so the per-task
+    /// counter contributions sum to a lowering-time constant and the
+    /// hot loop pays two adds per supernode instead of two per task.
+    sn_counts: Vec<(u32, u32)>,
     /// Words of persistent state (the arena prefix).
     pub(crate) state_words: u32,
     /// Arena offset where the const pool starts (scratch ends).
@@ -360,7 +358,7 @@ fn h_xor<const M: bool, const O: bool, const A: bool, const B: bool>(
     c.wr::<M, O>(r, v)
 }
 
-/// Comparison kernel shared by [`h_cmp`] and [`h_cmpmux`]: `OP` is
+/// Comparison kernel of [`h_cmp`]: `OP` is
 /// 0 Lt, 1 Leq, 2 Gt, 3 Geq, 4 Eq, 5 Neq; `S` keys signedness (from
 /// operand `a`'s meta byte, as everywhere in the interpreter).
 #[inline(always)]
@@ -411,30 +409,6 @@ fn h_cmp<const OP: u8, const S: bool, const O: bool, const A: bool, const B: boo
         c.opnd_ext::<B>(acc, r.b, r.sb),
     );
     c.wr_o::<O>(r.dst, v as u64)
-}
-
-fn h_cmpmux<
-    const OP: u8,
-    const S: bool,
-    const M: bool,
-    const O: bool,
-    const A: bool,
-    const B: bool,
->(
-    c: &mut TCtx<'_>,
-    r: &TInstr,
-    acc: u64,
-) -> u64 {
-    let take_t = cmp_take::<OP, S>(
-        c.opnd_ext::<A>(acc, r.a, r.sa),
-        c.opnd_ext::<B>(acc, r.b, r.sb),
-    );
-    let v = if take_t {
-        c.rd_sh(r.ea, r.sea)
-    } else {
-        c.rd_sh(r.eb, r.seb)
-    };
-    c.wr::<M, O>(r, v)
 }
 
 fn h_dshl<const M: bool, const O: bool, const A: bool, const B: bool>(
@@ -588,16 +562,6 @@ fn h_cat<const M: bool, const O: bool, const A: bool, const B: bool>(
     acc: u64,
 ) -> u64 {
     let v = (c.opnd_raw::<A>(acc, r.a) << r.eb) | c.opnd_raw::<B>(acc, r.b);
-    c.wr::<M, O>(r, v)
-}
-
-/// `b` = immediate, `eb` = shift.
-fn h_catimm<const M: bool, const O: bool, const A: bool>(
-    c: &mut TCtx<'_>,
-    r: &TInstr,
-    acc: u64,
-) -> u64 {
-    let v = (c.opnd_raw::<A>(acc, r.a) << r.eb) | r.b as u64;
     c.wr::<M, O>(r, v)
 }
 
@@ -991,51 +955,6 @@ fn cmp_handler(op: Op, signed: bool, aa: bool, ab: bool) -> HPair {
     }
 }
 
-/// Picks the fused compare→mux handler.
-fn cmpmux_handler(op: Op, signed: bool, mask: bool, aa: bool, ab: bool) -> HPair {
-    macro_rules! cm2 {
-        ($opc:literal, $s:literal, $m:literal) => {
-            match (aa, ab) {
-                (true, true) => (
-                    h_cmpmux::<$opc, $s, $m, false, true, true> as Handler,
-                    h_cmpmux::<$opc, $s, $m, true, true, true> as Handler,
-                ),
-                (true, false) => (
-                    h_cmpmux::<$opc, $s, $m, false, true, false> as Handler,
-                    h_cmpmux::<$opc, $s, $m, true, true, false> as Handler,
-                ),
-                (false, true) => (
-                    h_cmpmux::<$opc, $s, $m, false, false, true> as Handler,
-                    h_cmpmux::<$opc, $s, $m, true, false, true> as Handler,
-                ),
-                (false, false) => (
-                    h_cmpmux::<$opc, $s, $m, false, false, false> as Handler,
-                    h_cmpmux::<$opc, $s, $m, true, false, false> as Handler,
-                ),
-            }
-        };
-    }
-    macro_rules! cm {
-        ($opc:literal) => {
-            match (signed, mask) {
-                (true, true) => cm2!($opc, true, true),
-                (true, false) => cm2!($opc, true, false),
-                (false, true) => cm2!($opc, false, true),
-                (false, false) => cm2!($opc, false, false),
-            }
-        };
-    }
-    match op {
-        Op::CmpMuxLt => cm!(0),
-        Op::CmpMuxLeq => cm!(1),
-        Op::CmpMuxGt => cm!(2),
-        Op::CmpMuxGeq => cm!(3),
-        Op::CmpMuxEq => cm!(4),
-        Op::CmpMuxNeq => cm!(5),
-        other => unreachable!("{other:?} is not a compare-mux"),
-    }
-}
-
 /// Lowers a compiled design's execution image into a threaded program.
 /// Pure pre-decode: every packed operand reference resolves to a flat
 /// arena offset, every dispatch decision is taken once, here.
@@ -1084,10 +1003,10 @@ pub(crate) fn lower(c: &Compiled) -> ThreadedProg {
     let mut dispatch: Vec<TInstr> = Vec::with_capacity(c.image.code.len());
     let mut ttasks: Vec<TTask> = Vec::with_capacity(c.tasks.len());
     let mut sn_tasks: Vec<(u32, u32)> = Vec::with_capacity(c.supernode_tasks.len());
-    let mut sn_counts: Vec<(u32, u32, u32)> = Vec::with_capacity(c.supernode_tasks.len());
+    let mut sn_counts: Vec<(u32, u32)> = Vec::with_capacity(c.supernode_tasks.len());
     for &(lo, hi) in &c.supernode_tasks {
         let t_lo = ttasks.len() as u32;
-        let mut counts = (0u32, 0u32, 0u32);
+        let mut counts = (0u32, 0u32);
         for task in &c.tasks[lo as usize..hi as usize] {
             // Inputs are skipped before any counting in the essential
             // eval loop, so dropping them here is counter-invisible.
@@ -1097,7 +1016,6 @@ pub(crate) fn lower(c: &Compiled) -> ThreadedProg {
             let r_lo = records.len() as u32;
             counts.0 += 1;
             counts.1 += task.n_instrs;
-            counts.2 += task.n_fused;
             let last_o = lower_units(
                 &c.image.code[task.code.0 as usize..task.code.1 as usize],
                 &resolve,
@@ -1195,7 +1113,6 @@ fn fuse_dispatch(
         sa: 0,
         sb: 0,
         sea: 0,
-        seb: 0,
         wd: 64,
     };
     let mut i = 0usize;
@@ -1388,7 +1305,6 @@ fn lower_units(
             sa: 0,
             sb: 0,
             sea: 0,
-            seb: 0,
             wd: ins.xd,
         };
         // Binary: both operands read sign-extended per their metas.
@@ -1599,19 +1515,6 @@ fn lower_units(
                     )
                 }
             }
-            Op::CatImm => {
-                let (h, ho) = pick_ma!(h_catimm, mask, aa);
-                (
-                    TInstr {
-                        handler: h,
-                        a: ra,
-                        b: ins.b,
-                        eb: ins.xb as u32,
-                        ..base
-                    },
-                    Some(ho),
-                )
-            }
             Op::ReadMem => {
                 let (h, ho) = pick_ma!(h_readmem, mask, aa);
                 (
@@ -1619,32 +1522,6 @@ fn lower_units(
                         handler: h,
                         a: ra,
                         b: ins.b,
-                        ..base
-                    },
-                    Some(ho),
-                )
-            }
-            Op::CmpMuxLt
-            | Op::CmpMuxLeq
-            | Op::CmpMuxGt
-            | Op::CmpMuxGeq
-            | Op::CmpMuxEq
-            | Op::CmpMuxNeq => {
-                let ext = code[i];
-                i += 1;
-                let rb = resolve(ins.b);
-                let (h, ho) = cmpmux_handler(ins.op, signed, mask, aa, prev == Some(rb));
-                (
-                    TInstr {
-                        handler: h,
-                        a: ra,
-                        b: rb,
-                        sa: ext_shift(ins.xa),
-                        sb: ext_shift(ins.xb),
-                        ea: resolve(ext.a),
-                        sea: ext_shift(ext.xa),
-                        eb: resolve(ext.b),
-                        seb: ext_shift(ext.xb),
                         ..base
                     },
                     Some(ho),
@@ -1745,10 +1622,9 @@ fn eval_supernode(
     // A fired supernode runs every task, so the per-task counter
     // contributions collapse into the lowering-time sums — identical
     // totals to the essential engine's per-task accounting.
-    let (n_evals, n_instrs, n_fused) = prog.sn_counts[sn];
+    let (n_evals, n_instrs) = prog.sn_counts[sn];
     counters.node_evals += n_evals as u64;
     counters.instrs_executed += n_instrs as u64;
-    counters.fused_executed += n_fused as u64;
     let (lo, hi) = prog.sn_tasks[sn];
     for t in &prog.ttasks[lo as usize..hi as usize] {
         run_records(ctx, &prog.dispatch[t.rec.0 as usize..t.rec.1 as usize]);

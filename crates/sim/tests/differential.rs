@@ -202,66 +202,12 @@ fn engine_matrix() -> Vec<(&'static str, SimOptions)> {
                 ..SimOptions::default()
             },
         ),
-        // Odd thread count: exercises uneven level slices (the last
-        // thread's slice is shorter or empty on small levels).
-        ("gsim-mt3", SimOptions::essential_mt(3)),
-        (
-            "gsim-mt2-per-flag",
-            SimOptions {
-                check_multiple_bits: false,
-                ..SimOptions::essential_mt(2)
-            },
-        ),
-        // Flat-image ablations: fusion and the locality layout must be
-        // bit-invisible on every engine family.
-        (
-            "gsim-no-fuse",
-            SimOptions {
-                superinstr_fusion: false,
-                ..SimOptions::default()
-            },
-        ),
-        (
-            "gsim-legacy-layout",
-            SimOptions {
-                locality_layout: false,
-                ..SimOptions::default()
-            },
-        ),
-        (
-            "full-cycle-no-fuse",
-            SimOptions {
-                superinstr_fusion: false,
-                locality_layout: false,
-                ..SimOptions::full_cycle()
-            },
-        ),
-        (
-            "gsim-mt2-no-fuse",
-            SimOptions {
-                superinstr_fusion: false,
-                ..SimOptions::essential_mt(2)
-            },
-        ),
+        // Odd thread count: exercises uneven level chunks (the last
+        // thread's chunk is shorter or empty on small levels).
+        ("mt-3", SimOptions::full_cycle_mt(3)),
         // Threaded-code backend: the lowered handler records must be
-        // bit-identical to the reference, with and without the
-        // `--no-threaded` ablation (which falls back to the plain
-        // essential interpreter under the same engine kind).
+        // bit-identical to the reference.
         ("gsim-threaded", SimOptions::threaded()),
-        (
-            "gsim-threaded-ablated",
-            SimOptions {
-                threaded_dispatch: false,
-                ..SimOptions::threaded()
-            },
-        ),
-        (
-            "gsim-threaded-no-fuse",
-            SimOptions {
-                superinstr_fusion: false,
-                ..SimOptions::threaded()
-            },
-        ),
     ]
 }
 

@@ -3,10 +3,10 @@
 //! Over randomized `gsim_designs` synthetic netlists, the threaded
 //! backend must produce bit-identical output peeks and *fully*
 //! identical cost counters — every field, examination counts included —
-//! against both the plain essential engine and its own `--no-threaded`
-//! ablation. The lowered handler records replicate the essential
-//! sweep's semantics and accounting exactly; any divergence is a
-//! lowering bug, not noise.
+//! against the plain essential engine, in both active-bit examination
+//! modes. The lowered handler records replicate the essential sweep's
+//! semantics and accounting exactly; any divergence is a lowering bug,
+//! not noise.
 
 use gsim_sim::{Counters, SimOptions, Simulator};
 use gsim_value::Value;
@@ -74,7 +74,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn threaded_dispatch_is_bit_invisible(plan in plan_strategy()) {
+    fn threaded_engine_is_bit_invisible(plan in plan_strategy()) {
         let params = gsim_designs::SynthParams {
             name: "prop".into(),
             lanes: plan.lanes,
@@ -89,31 +89,34 @@ proptest! {
             .iter()
             .map(|&o| graph.display_name(o))
             .collect();
-        let threaded = run(&graph, &SimOptions::threaded(), &outputs, plan.cycles);
-        let essential = run(&graph, &SimOptions::default(), &outputs, plan.cycles);
-        let ablated = run(
-            &graph,
-            &SimOptions {
-                threaded_dispatch: false,
-                ..SimOptions::threaded()
-            },
-            &outputs,
-            plan.cycles,
-        );
-        prop_assert_eq!(
-            &threaded.0,
-            &essential.0,
-            "threaded peeks diverged from the essential engine"
-        );
-        prop_assert_eq!(
-            &threaded.0,
-            &ablated.0,
-            "threaded peeks diverged from the --no-threaded ablation"
-        );
-        // Full counter identity — not just the semantic subset: the
-        // record stream mirrors the essential sweep's examination and
-        // activation accounting one for one.
-        prop_assert_eq!(threaded.1, essential.1, "counters diverged vs essential");
-        prop_assert_eq!(threaded.1, ablated.1, "counters diverged vs ablation");
+        for word_skip in [true, false] {
+            let threaded = run(
+                &graph,
+                &SimOptions { check_multiple_bits: word_skip, ..SimOptions::threaded() },
+                &outputs,
+                plan.cycles,
+            );
+            let essential = run(
+                &graph,
+                &SimOptions { check_multiple_bits: word_skip, ..SimOptions::default() },
+                &outputs,
+                plan.cycles,
+            );
+            prop_assert_eq!(
+                &threaded.0,
+                &essential.0,
+                "threaded peeks diverged from the essential engine (word skip {})",
+                word_skip
+            );
+            // Full counter identity — not just the semantic subset: the
+            // record stream mirrors the essential sweep's examination
+            // and activation accounting one for one.
+            prop_assert_eq!(
+                threaded.1,
+                essential.1,
+                "counters diverged vs essential (word skip {})",
+                word_skip
+            );
+        }
     }
 }

@@ -78,7 +78,7 @@ fn wide_divide_in_cycled_design_matches_reference() {
         ("full-cycle-mt2", SimOptions::full_cycle_mt(2)),
         ("essent-like", SimOptions::essent_like()),
         ("gsim", SimOptions::default()),
-        ("gsim-mt2", SimOptions::essential_mt(2)),
+        ("gsim-jit", SimOptions::threaded()),
     ];
     // Divisor stimulus: wide values, small values, all-ones, and zero
     // (division by zero must follow the reference semantics).

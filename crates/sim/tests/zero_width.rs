@@ -30,13 +30,8 @@ fn zero_width_operands_match_reference_on_every_engine() {
     let engines = [
         ("full-cycle", SimOptions::full_cycle()),
         ("gsim", SimOptions::default()),
-        ("gsim-no-fuse", {
-            SimOptions {
-                superinstr_fusion: false,
-                ..SimOptions::default()
-            }
-        }),
-        ("gsim-mt2", SimOptions::essential_mt(2)),
+        ("gsim-jit", SimOptions::threaded()),
+        ("mt-2", SimOptions::full_cycle_mt(2)),
     ];
     for (name, opts) in engines {
         let mut reference = RefInterp::new(&graph).unwrap();

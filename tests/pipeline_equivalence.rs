@@ -51,7 +51,7 @@ fn register_driven_reset_matches_reference_across_presets() {
             Preset::Essent,
             Preset::Arcilator,
             Preset::Gsim,
-            Preset::GsimMt(2),
+            Preset::GsimJit,
         ],
     );
     // Isolated pulses and a double pulse, so the synchronized reset

@@ -17,7 +17,6 @@ const ALL_PRESETS: &[Preset] = &[
     Preset::Essent,
     Preset::Arcilator,
     Preset::Gsim,
-    Preset::GsimMt(2),
     Preset::GsimJit,
 ];
 
@@ -200,7 +199,6 @@ fn build_session_covers_every_engine_choice() {
         EngineChoice::FullCycle,
         EngineChoice::FullCycleMt(2),
         EngineChoice::Essential,
-        EngineChoice::EssentialMt(2),
         EngineChoice::Threaded,
     ];
     if gsim_codegen::rustc_available() {

@@ -25,8 +25,7 @@ fn all_presets() -> Vec<Preset> {
         Preset::Essent,
         Preset::Arcilator,
         Preset::Gsim,
-        Preset::GsimMt(2),
-        Preset::GsimMt(4),
+        Preset::GsimJit,
     ]
 }
 
@@ -56,6 +55,45 @@ fn coremark_mini_on_every_preset() {
             p.expected_result,
             "{}",
             preset.name()
+        );
+    }
+}
+
+/// The benchmark-size programs must halt within their own cycle
+/// budgets: a budget below the program's real cycle count makes every
+/// harness that trusts `max_cycles` report a hang.
+#[test]
+fn long_programs_halt_within_their_budgets() {
+    let graph = gsim_designs::stu_core();
+    for p in [
+        programs::coremark_mini(100),
+        programs::linux_boot_mini(5000),
+    ] {
+        let (mut sim, _) = Compiler::new(&graph)
+            .preset(Preset::GsimJit)
+            .build()
+            .unwrap();
+        sim.load_mem("imem", &p.image).unwrap();
+        sim.poke_u64("reset", 1).unwrap();
+        sim.run(2);
+        sim.poke_u64("reset", 0).unwrap();
+        let mut ran = 0;
+        while ran < p.max_cycles && sim.peek_u64("halt") != Some(1) {
+            sim.run(1);
+            ran += 1;
+        }
+        assert_eq!(
+            sim.peek_u64("halt"),
+            Some(1),
+            "{} did not halt within its {}-cycle budget",
+            p.name,
+            p.max_cycles
+        );
+        assert_eq!(
+            sim.peek_u64("result"),
+            Some(p.expected_result),
+            "{}",
+            p.name
         );
     }
 }
